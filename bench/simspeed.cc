@@ -11,27 +11,14 @@
  *
  *   simulated MIPS = instructions * reps / replay_seconds / 1e6
  *
- * Recording cost is split by phase (record / decode / gate / verify /
- * compress) using the driver's RecordTiming, so the record/replay
- * attribution in the artifact is honest: the record-time oracle and
- * the compression attempt are reported as their own fields instead of
- * inflating record_seconds.
+ * Recording cost is split by phase (setup / record / verify) using the
+ * driver's RecordTiming, so the record/replay attribution in the
+ * artifact is honest: the record-time oracle is reported as its own
+ * field instead of inflating record_seconds.
  *
- * The record phase itself is benchmarked per execution backend: each
- * kernel is recorded by the reference interpreter and by the threaded
- * backend (after its one-time differential gate), and both
- * record_seconds land in the artifact as
- * record_seconds_interpreter / record_seconds_threaded together with
- * decode_seconds_threaded and the resulting record_speedup_threaded.
- * Both measurements go through driver::recordKernelTrace — same
- * workload synthesis, same reserve estimate, same oracle — so the
- * columns compare executors and nothing else.
- *
- * Trace footprint is reported three ways: the bytes actually stored
- * (compressed when the loop detector adopted the stream), the packed
- * equivalent (the compression-ratio baseline), and the raw DynInst
- * bytes. Results go to BENCH_simspeed.json (schema 3, with
- * host-timing extras per result).
+ * Trace footprint is reported two ways: the packed bytes actually
+ * stored and the raw DynInst bytes. Results go to BENCH_simspeed.json
+ * (with host-timing extras per result).
  *
  * Usage: simspeed [--quick]
  *   --quick  CI smoke mode: fewer cells, smaller time budget.
@@ -69,9 +56,9 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--quick"))
             quick = true;
 
-    // Full mode covers the entire tab02 cipher grid, so the
-    // record-phase speedup column is measured over exactly the
-    // workload population the tab02 artifact records. Quick mode keeps
+    // Full mode covers the entire tab02 cipher grid, so the record
+    // column is measured over exactly the workload population the
+    // tab02 artifact records. Quick mode keeps
     // two representative corners: a stream cipher dominated by byte
     // traffic and alias ordering (RC4) and the SBOX-heavy block cipher
     // the paper optimizes hardest (Rijndael).
@@ -99,64 +86,28 @@ main(int argc, char **argv)
     std::vector<driver::SweepResult> results;
     std::vector<std::string> extras;
     size_t totalStored = 0;
-    size_t totalPacked = 0;
     size_t totalRaw = 0;
 
     std::printf("Simulator self-benchmark (%s mode)\n\n",
                 quick ? "quick" : "full");
-    std::printf("%-10s %-10s %-6s %12s %8s %10s %12s %7s %-10s\n",
-                "Cipher", "Variant", "Model", "insts", "reps", "sim-MIPS",
-                "trace-bytes", "ratio", "storage");
-
-    struct RecordRow
-    {
-        crypto::CipherId id;
-        driver::RecordTiming interp;
-        driver::RecordTiming threaded;
-        driver::RecordTiming gate;
-    };
-    std::vector<RecordRow> recordRows;
+    std::printf("%-10s %-10s %-6s %12s %8s %10s %10s %12s\n", "Cipher",
+                "Variant", "Model", "insts", "reps", "sim-MIPS",
+                "record-ms", "trace-bytes");
 
     for (auto id : ciphers) {
-        // Per-backend record phase. The untimed interpreter warm-up
-        // seeds the driver's reserve estimate so both timed recordings
-        // append into pre-sized traces; the first threaded call pays
-        // the differential adoption gate (reported separately), and
-        // the steady-state call is the threaded record_seconds column
-        // — the same state every tab02-style sweep records in.
-        RecordRow row;
-        row.id = id;
-        driver::resetExecBackendGate();
-        driver::setExecBackendSelection(
-            driver::ExecBackendSelection::Interpreter);
+        // The untimed warm-up seeds the driver's reserve estimate, so
+        // the timed recording appends into a pre-sized trace — the
+        // state every sweep after a kernel's first session records in.
         driver::recordKernelTrace(id, variant, driver::session_bytes,
                                   kernels::KernelDirection::Encrypt);
-        driver::recordKernelTrace(id, variant, driver::session_bytes,
-                                  kernels::KernelDirection::Encrypt,
-                                  &row.interp);
-        driver::setExecBackendSelection(
-            driver::ExecBackendSelection::Threaded);
-        driver::recordKernelTrace(id, variant, driver::session_bytes,
-                                  kernels::KernelDirection::Encrypt,
-                                  &row.gate);
-
         driver::RecordTiming timing = {};
         auto trace = driver::recordKernelTrace(
             id, variant, driver::session_bytes,
             kernels::KernelDirection::Encrypt, &timing);
-        row.threaded = timing;
-        recordRows.push_back(row);
         const uint64_t insts = trace.instructions();
         const size_t storedBytes = trace.storedBytes();
-        const size_t packedBytes = trace.packedEquivalentBytes();
         const size_t rawBytes = insts * sizeof(isa::DynInst);
-        const double ratio = storedBytes
-            ? static_cast<double>(packedBytes) / storedBytes
-            : 1.0;
-        const char *storage =
-            isa::compressOutcomeName(trace.compressOutcome());
         totalStored += storedBytes;
-        totalPacked += packedBytes;
         totalRaw += rawBytes;
 
         for (const auto &model : models) {
@@ -180,76 +131,36 @@ main(int argc, char **argv)
             res.stats = stats;
             results.push_back(res);
 
-            char extra[1024];
+            char extra[512];
             std::snprintf(
                 extra, sizeof(extra),
                 "\"simulated_mips\": %.2f, \"replay_reps\": %d, "
-                "\"replay_seconds\": %.6f, \"record_seconds\": %.6f, "
-                "\"record_seconds_interpreter\": %.6f, "
-                "\"record_seconds_threaded\": %.6f, "
-                "\"decode_seconds_threaded\": %.6f, "
-                "\"gate_seconds_threaded\": %.6f, "
-                "\"record_speedup_threaded\": %.2f, "
-                "\"verify_seconds\": %.6f, \"compress_seconds\": %.6f, "
-                "\"trace_storage\": \"%s\", "
+                "\"replay_seconds\": %.6f, \"setup_seconds\": %.6f, "
+                "\"record_seconds\": %.6f, \"verify_seconds\": %.6f, "
                 "\"trace_stored_bytes\": %zu, "
-                "\"trace_packed_bytes\": %zu, "
                 "\"trace_dyninst_bytes\": %zu, "
-                "\"compression_ratio\": %.2f, "
                 "\"stored_bytes_per_inst\": %.4f",
-                mips, reps, elapsed, timing.recordSeconds,
-                row.interp.recordSeconds, row.threaded.recordSeconds,
-                row.threaded.decodeSeconds, row.gate.gateSeconds,
-                row.threaded.recordSeconds > 0
-                    ? row.interp.recordSeconds / row.threaded.recordSeconds
-                    : 0.0,
-                timing.verifySeconds, timing.compressSeconds, storage,
-                storedBytes, packedBytes, rawBytes, ratio,
+                mips, reps, elapsed, timing.setupSeconds,
+                timing.recordSeconds, timing.verifySeconds, storedBytes,
+                rawBytes,
                 insts ? static_cast<double>(storedBytes) / insts : 0.0);
             extras.push_back(extra);
 
-            std::printf(
-                "%-10s %-10s %-6s %12llu %8d %10.2f %12zu %6.1fx %-10s\n",
-                crypto::cipherInfo(id).name.c_str(),
-                kernels::variantName(variant).c_str(), model.name.c_str(),
-                static_cast<unsigned long long>(insts), reps, mips,
-                storedBytes, ratio, storage);
+            std::printf("%-10s %-10s %-6s %12llu %8d %10.2f %10.3f %12zu\n",
+                        crypto::cipherInfo(id).name.c_str(),
+                        kernels::variantName(variant).c_str(),
+                        model.name.c_str(),
+                        static_cast<unsigned long long>(insts), reps, mips,
+                        timing.recordSeconds * 1e3, storedBytes);
         }
     }
-
-    // Record-phase backend comparison over the cipher grid above.
-    std::printf("\nRecord phase by execution backend (%zu-byte "
-                "sessions)\n\n",
-                driver::session_bytes);
-    std::printf("%-10s %12s %12s %12s %9s\n", "Cipher", "interp-ms",
-                "threaded-ms", "decode-ms", "speedup");
-    double sumInterp = 0.0;
-    double sumThreaded = 0.0;
-    for (const auto &row : recordRows) {
-        sumInterp += row.interp.recordSeconds;
-        sumThreaded += row.threaded.recordSeconds;
-        std::printf("%-10s %12.3f %12.3f %12.3f %8.2fx\n",
-                    crypto::cipherInfo(row.id).name.c_str(),
-                    row.interp.recordSeconds * 1e3,
-                    row.threaded.recordSeconds * 1e3,
-                    row.threaded.decodeSeconds * 1e3,
-                    row.threaded.recordSeconds > 0
-                        ? row.interp.recordSeconds
-                              / row.threaded.recordSeconds
-                        : 0.0);
-    }
-    std::printf("%-10s %12.3f %12.3f %12s %8.2fx\n", "total",
-                sumInterp * 1e3, sumThreaded * 1e3, "",
-                sumThreaded > 0 ? sumInterp / sumThreaded : 0.0);
 
     driver::writeBenchJson("BENCH_simspeed.json", "simspeed", results,
                            extras);
     std::printf("\n(Host timing per cell: BENCH_simspeed.json; %zu "
-                "cells; stored traces %.1fx smaller than packed, "
-                "%.1fx smaller than raw DynInst records.)\n",
+                "cells; packed traces %.1fx smaller than raw DynInst "
+                "records.)\n",
                 results.size(),
-                totalStored ? static_cast<double>(totalPacked) / totalStored
-                            : 1.0,
                 totalStored ? static_cast<double>(totalRaw) / totalStored
                             : 1.0);
     return 0;

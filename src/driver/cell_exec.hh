@@ -10,9 +10,11 @@
 #ifndef CRYPTARCH_DRIVER_CELL_EXEC_HH
 #define CRYPTARCH_DRIVER_CELL_EXEC_HH
 
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <tuple>
+#include <vector>
 
 #include "driver/sweep.hh"
 #include "driver/trace.hh"
@@ -40,6 +42,19 @@ keyOf(const SweepCell &cell)
 {
     return {cell.cipher, cell.variant, cell.bytes};
 }
+
+/**
+ * The order in which the thread pool claims the cells of @p todo
+ * (indices into @p cells): one cell per trace group in turn,
+ * round-robin over the groups in order of first appearance, each
+ * group's cells kept in their @p todo order. Grids are group-major, so
+ * claiming them in index order would put every worker on the first
+ * group's once_flag while one thread records it; interleaved, the
+ * first G claims start G different recordings. Results land in fixed
+ * slots, so the order cannot change any output.
+ */
+std::vector<uint32_t> claimOrder(const std::vector<SweepCell> &cells,
+                                 const std::vector<uint32_t> &todo);
 
 /** Fill outcome/message from the exception behind @p ep. */
 void classifyFailure(SweepResult &r, std::exception_ptr ep);

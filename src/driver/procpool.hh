@@ -40,7 +40,7 @@
  *
  * ## Checkpoint journal
  *
- * An append-only file in the PackedTrace/CompressedTrace serialization
+ * An append-only file in the PackedTrace serialization
  * style: a versioned header binding the journal to its grid, then one
  * FNV-checksummed record per finished cell:
  *

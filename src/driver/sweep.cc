@@ -44,8 +44,7 @@ parseSweepIsolation(std::string_view name, SweepIsolation dflt)
         return SweepIsolation::Thread;
     if (name == "process")
         return SweepIsolation::Process;
-    // Anything unrecognized: the caller's safe default, same policy as
-    // the CRYPTARCH_TRACE_COMPRESS / CRYPTARCH_EXEC_BACKEND parsers.
+    // Anything unrecognized: the caller's safe default.
     return dflt;
 }
 
@@ -72,6 +71,29 @@ sweepOptionsFromEnv()
 
 namespace detail
 {
+
+std::vector<uint32_t>
+claimOrder(const std::vector<SweepCell> &cells,
+           const std::vector<uint32_t> &todo)
+{
+    std::map<GroupKey, size_t> groupIndex;
+    std::vector<std::vector<uint32_t>> groups;
+    for (uint32_t i : todo) {
+        auto [it, fresh] = groupIndex.try_emplace(keyOf(cells[i]),
+                                                  groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+
+    std::vector<uint32_t> order;
+    order.reserve(todo.size());
+    for (size_t round = 0; order.size() < todo.size(); round++)
+        for (const auto &g : groups)
+            if (round < g.size())
+                order.push_back(g[round]);
+    return order;
+}
 
 void
 classifyFailure(SweepResult &r, std::exception_ptr ep)
@@ -240,15 +262,16 @@ runCellsThread(const std::vector<SweepCell> &cells,
             slot = std::make_unique<TraceGroup>();
     }
 
+    const std::vector<uint32_t> order = detail::claimOrder(cells, todo);
     std::atomic<size_t> next{0};
     std::mutex journalMutex;
 
     auto worker = [&]() {
         for (;;) {
             size_t k = next.fetch_add(1, std::memory_order_relaxed);
-            if (k >= todo.size())
+            if (k >= order.size())
                 return;
-            const uint32_t i = todo[k];
+            const uint32_t i = order[k];
             const SweepCell &cell = cells[i];
             SweepResult r = detail::makeResultShell(cell);
             detail::executeCell(cell, *groups.at(keyOf(cell)), r);

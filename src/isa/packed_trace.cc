@@ -51,9 +51,10 @@ PackedTrace::sizeCode(uint8_t size)
     }
 }
 
-uint16_t
-PackedTrace::packRowBase(const DynInst &inst, uint8_t (&row)[row_bytes])
+void
+PackedTrace::append(const DynInst &inst, bool keepResult)
 {
+    assert(inst.seq == size() && "seq must equal append index");
     assert(inst.numSrcs <= 3);
 
     uint16_t flags = inst.numSrcs & num_srcs_mask;
@@ -68,9 +69,25 @@ PackedTrace::packRowBase(const DynInst &inst, uint8_t (&row)[row_bytes])
     if (inst.aliased)
         flags |= f_aliased;
     flags |= sizeCode(inst.size) << size_code_shift;
-    if (inst.nextPc != inst.pc + 1)
+    if (inst.addr != 0) {
+        flags |= f_has_addr;
+        if (inst.addr >> 32) {
+            flags |= f_wide_addr;
+            addrWide_.push_back(inst.addr);
+        } else {
+            addr32_.push_back(static_cast<uint32_t>(inst.addr));
+        }
+    }
+    if (inst.nextPc != inst.pc + 1) {
         flags |= f_next_pc_exc;
+        nextPcExc_.push_back(inst.nextPc);
+    }
+    if (keepResult && inst.result != 0) {
+        flags |= f_has_result;
+        result_.push_back(inst.result);
+    }
 
+    std::array<uint8_t, row_bytes> row;
     row[off_pc] = static_cast<uint8_t>(inst.pc);
     row[off_pc + 1] = static_cast<uint8_t>(inst.pc >> 8);
     row[off_pc + 2] = static_cast<uint8_t>(inst.pc >> 16);
@@ -85,36 +102,7 @@ PackedTrace::packRowBase(const DynInst &inst, uint8_t (&row)[row_bytes])
     row[off_srcs + 2] = inst.srcs[2];
     row[off_flags] = static_cast<uint8_t>(flags);
     row[off_flags + 1] = static_cast<uint8_t>(flags >> 8);
-    return flags;
-}
-
-void
-PackedTrace::append(const DynInst &inst, bool keepResult)
-{
-    assert(inst.seq == size() && "seq must equal append index");
-
-    uint8_t row[row_bytes];
-    uint16_t flags = packRowBase(inst, row);
-    if (inst.addr != 0) {
-        flags |= f_has_addr;
-        if (inst.addr >> 32)
-            flags |= f_wide_addr;
-    }
-    if (keepResult && inst.result != 0)
-        flags |= f_has_result;
-    appendRow(row, flags, inst.addr, inst.nextPc, inst.result);
-}
-
-void
-PackedTrace::Stage::flush(PackedTrace &t)
-{
-    t.fixed_.insert(t.fixed_.end(), rows, rows + nRows);
-    t.addr32_.insert(t.addr32_.end(), addr32, addr32 + nAddr32);
-    t.addrWide_.insert(t.addrWide_.end(), addrWide, addrWide + nWide);
-    t.nextPcExc_.insert(t.nextPcExc_.end(), nextPcExc,
-                        nextPcExc + nNextPc);
-    t.result_.insert(t.result_.end(), result, result + nResult);
-    nRows = nAddr32 = nWide = nNextPc = nResult = 0;
+    fixed_.push_back(row);
 }
 
 void

@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "driver/cell_exec.hh"
 #include "driver/grids.hh"
 #include "driver/json.hh"
 #include "driver/sweep.hh"
@@ -294,6 +297,78 @@ TEST(Driver, MixedSessionLengthsKeySeparateTraces)
     EXPECT_LT(results[0].stats.instructions, results[1].stats.instructions);
     EXPECT_EQ(results[0].bytes, 1024u);
     EXPECT_EQ(results[1].bytes, 2048u);
+}
+
+// --- claim order ------------------------------------------------------
+
+/** A group-major grid over @p groups kernels of @p models cells each. */
+std::vector<SweepCell>
+groupMajorCells(size_t groups, size_t models)
+{
+    const auto ciphers = driver::allCiphers();
+    const KernelVariant variants[] = {KernelVariant::BaselineRot,
+                                      KernelVariant::Optimized};
+    std::vector<SweepCell> cells;
+    for (size_t g = 0; g < groups; g++)
+        for (size_t k = 0; k < models; k++)
+            cells.push_back({ciphers[g % ciphers.size()],
+                             variants[g / ciphers.size()],
+                             MachineConfig::fourWide(),
+                             driver::session_bytes});
+    return cells;
+}
+
+std::vector<uint32_t>
+allIndices(size_t n)
+{
+    std::vector<uint32_t> todo(n);
+    for (size_t i = 0; i < n; i++)
+        todo[i] = static_cast<uint32_t>(i);
+    return todo;
+}
+
+TEST(ClaimOrder, IsAPermutationOfTodo)
+{
+    const auto cells = groupMajorCells(5, 4);
+    // A resumed sweep's todo skips journaled cells.
+    std::vector<uint32_t> todo;
+    for (uint32_t i = 0; i < cells.size(); i++)
+        if (i % 3 != 1)
+            todo.push_back(i);
+    auto order = driver::detail::claimOrder(cells, todo);
+    ASSERT_EQ(order.size(), todo.size());
+    std::sort(order.begin(), order.end());
+    EXPECT_EQ(order, todo);
+    EXPECT_TRUE(driver::detail::claimOrder(cells, {}).empty());
+}
+
+TEST(ClaimOrder, FirstClaimsHitDistinctGroups)
+{
+    for (size_t models : {1, 3, 4}) {
+        const size_t groups = 6;
+        const auto cells = groupMajorCells(groups, models);
+        const auto order =
+            driver::detail::claimOrder(cells, allIndices(cells.size()));
+        std::set<driver::detail::GroupKey> first;
+        for (size_t k = 0; k < groups; k++)
+            first.insert(driver::detail::keyOf(cells[order[k]]));
+        EXPECT_EQ(first.size(), groups) << models << " models";
+    }
+}
+
+TEST(ClaimOrder, KeepsOrderWithinEachGroup)
+{
+    // Uneven groups: the round-robin runs out of short groups first.
+    auto cells = groupMajorCells(3, 5);
+    cells.erase(cells.begin() + 6, cells.begin() + 9); // group 1: 2 cells
+    const auto order =
+        driver::detail::claimOrder(cells, allIndices(cells.size()));
+    std::map<driver::detail::GroupKey, std::vector<uint32_t>> seen;
+    for (uint32_t i : order)
+        seen[driver::detail::keyOf(cells[i])].push_back(i);
+    for (const auto &[key, idx] : seen)
+        EXPECT_TRUE(std::is_sorted(idx.begin(), idx.end()));
+    EXPECT_EQ(order.size(), cells.size());
 }
 
 } // namespace

@@ -5,18 +5,26 @@
  * field, both for real kernel traces captured from the functional
  * Machine and for adversarial synthetic streams exercising every
  * escape path (wide addresses, nextPc exceptions, zero/nonzero
- * results, every access size).
+ * results, every access size). Across the whole kernel catalog, the
+ * driver's recorded trace must replay the exact interpreter stream and
+ * survive a serialize/deserialize round trip byte for byte
+ * (BackendParity).
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "driver/trace.hh"
-#include "isa/packed_trace.hh"
 #include "driver/workload.hh"
+#include "isa/machine.hh"
+#include "isa/packed_trace.hh"
+#include "isa/program.hh"
 #include "kernels/kernel.hh"
+#include "verify/oracle.hh"
 
 namespace
 {
@@ -177,6 +185,246 @@ TEST(PackedTrace, ClearEmptiesEverything)
     EXPECT_TRUE(packed.empty());
     auto r = packed.reader();
     EXPECT_TRUE(r.done());
+}
+
+// --- record-path parity over the kernel catalog ----------------------
+//
+// The interpreter's stream leaves a run two ways: through the driver's
+// record path (recordKernelTrace: packed, results dropped, oracle
+// checked) and through any plain TraceSink's emit(). BackendParity
+// holds the two to the same stream for every (cipher, variant,
+// direction) the catalog builds.
+
+/** Session small enough for -O0 CI yet multi-block for every cipher. */
+constexpr size_t parity_bytes = 256;
+
+/** Packed append with results kept, straight off emit(). */
+struct PackedKeepSink : isa::TraceSink
+{
+    PackedTrace trace;
+    void emit(const isa::DynInst &d) override { trace.append(d, true); }
+};
+
+struct ParityCase
+{
+    crypto::CipherId cipher;
+    kernels::KernelVariant variant;
+    kernels::KernelDirection direction;
+};
+
+std::string
+parityCaseName(const ::testing::TestParamInfo<ParityCase> &info)
+{
+    const auto &c = info.param;
+    std::string name = "K_"; // gtest names may not start with a digit
+    name += crypto::cipherInfo(c.cipher).name;
+    name += '_';
+    name += kernels::variantName(c.variant);
+    name += c.direction == kernels::KernelDirection::Encrypt ? "_enc"
+                                                             : "_dec";
+    for (auto &ch : name)
+        if (!isalnum(static_cast<unsigned char>(ch)))
+            ch = '_';
+    return name;
+}
+
+std::vector<ParityCase>
+allParityCases()
+{
+    std::vector<ParityCase> cases;
+    for (const auto &info : crypto::cipherCatalog()) {
+        for (auto v : {kernels::KernelVariant::BaselineNoRot,
+                       kernels::KernelVariant::BaselineRot,
+                       kernels::KernelVariant::Optimized,
+                       kernels::KernelVariant::OptimizedGrp,
+                       kernels::KernelVariant::OptimizedFused}) {
+            cases.push_back({info.id, v, kernels::KernelDirection::Encrypt});
+            cases.push_back({info.id, v, kernels::KernelDirection::Decrypt});
+        }
+    }
+    return cases;
+}
+
+/** The driver's workload for @p c: kernel build plus its input. */
+struct ParityRun
+{
+    driver::Workload w;
+    std::vector<uint8_t> input;
+    kernels::KernelBuild build;
+
+    explicit ParityRun(const ParityCase &c)
+        : w(driver::makeWorkload(c.cipher, parity_bytes)),
+          input(c.direction == kernels::KernelDirection::Encrypt
+                    ? w.plaintext
+                    : verify::referenceProcess(
+                          c.cipher, w.key, w.iv, w.plaintext,
+                          kernels::KernelDirection::Encrypt)),
+          build(kernels::buildKernel(c.cipher, c.variant, w.key, w.iv,
+                                     parity_bytes, c.direction))
+    {}
+
+    /** Run on a fresh interpreter into @p sink; returns its output. */
+    std::vector<uint8_t>
+    run(isa::TraceSink &sink, isa::RunStats *stats = nullptr) const
+    {
+        isa::Machine m;
+        build.install(m, kernels::toWordImage(build.cipher, input));
+        const auto st = m.run(build.program, &sink, 1ull << 32);
+        if (stats)
+            *stats = st;
+        return build.readOutput(m);
+    }
+};
+
+class BackendParity : public ::testing::TestWithParam<ParityCase>
+{};
+
+/**
+ * The recorded trace replays the exact stream the interpreter emits
+ * (results dropped, nothing else), with seq equal to the stream index,
+ * and its packed encoding round-trips through serialize() /
+ * deserialize() byte for byte.
+ */
+TEST_P(BackendParity, StreamsFieldForFieldIdentical)
+{
+    const auto &c = GetParam();
+    auto trace = driver::recordKernelTrace(c.cipher, c.variant,
+                                           parity_bytes, c.direction);
+
+    ParityRun run(c);
+    VectorSink raw;
+    isa::RunStats stats;
+    run.run(raw, &stats);
+    EXPECT_EQ(stats.instructions, trace.instructions());
+
+    VectorSink replayed;
+    trace.replay(replayed);
+    ASSERT_EQ(replayed.insts.size(), raw.insts.size());
+    for (size_t i = 0; i < raw.insts.size(); i++) {
+        isa::DynInst want = raw.insts[i];
+        want.result = 0; // recording drops results
+        ASSERT_EQ(replayed.insts[i].seq, i);
+        expectInstEqual(want, replayed.insts[i], i);
+        if (HasFailure())
+            return;
+    }
+
+    const auto bytes = trace.packedStream().serialize();
+    EXPECT_EQ(PackedTrace::deserialize(bytes).serialize(), bytes);
+}
+
+/**
+ * A plain emit() sink and a packed sink keeping results see the same
+ * stream, results included, and both runs leave the reference cipher's
+ * output in data memory.
+ */
+TEST_P(BackendParity, VirtualEmitPathMatches)
+{
+    const auto &c = GetParam();
+    ParityRun run(c);
+
+    VectorSink a;
+    const auto outA = run.run(a);
+    PackedKeepSink b;
+    const auto outB = run.run(b);
+
+    ASSERT_EQ(a.insts.size(), b.trace.size());
+    auto r = b.trace.reader();
+    for (size_t i = 0; i < a.insts.size(); i++) {
+        expectInstEqual(a.insts[i], r.next(), i);
+        if (HasFailure())
+            return;
+    }
+
+    EXPECT_EQ(outA, outB);
+    EXPECT_EQ(kernels::fromWordImage(c.cipher, outA),
+              verify::referenceProcess(c.cipher, run.w.key, run.w.iv,
+                                       run.input, c.direction));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, BackendParity,
+                         ::testing::ValuesIn(allParityCases()),
+                         parityCaseName);
+
+// --- targeted stream shapes -------------------------------------------
+
+/**
+ * rc == R63 ALU results are discarded: the emitted instruction keeps
+ * dest R63 and result 0, and the packed encoding of the stream matches
+ * a re-encoding of the raw emit() stream byte for byte.
+ */
+TEST(BackendStreamShapes, DiscardedDestinationParity)
+{
+    using isa::Reg;
+    constexpr Reg r1{1}, r2{2}, r3{3};
+    isa::Assembler a;
+    a.li(7, r1);
+    a.li(9, r2);
+    a.addq(r1, r2, isa::reg_zero); // result discarded
+    a.xor_(r1, r2, isa::reg_zero); // result discarded
+    a.mulq(r1, r2, r3);            // result kept
+    a.halt();
+    const isa::Program p = a.finalize();
+
+    PackedKeepSink packed;
+    VectorSink raw;
+    isa::Machine().run(p, &packed);
+    isa::Machine().run(p, &raw);
+
+    PackedTrace reencoded;
+    for (const auto &d : raw.insts)
+        reencoded.append(d, true);
+    EXPECT_EQ(packed.trace.serialize(), reencoded.serialize());
+
+    for (size_t i : {size_t{2}, size_t{3}}) {
+        EXPECT_EQ(raw.insts[i].dest, isa::reg_zero.n) << i;
+        EXPECT_EQ(raw.insts[i].result, 0u) << i;
+    }
+    EXPECT_EQ(raw.insts[4].result, 63u);
+}
+
+/**
+ * A packed sink that already holds rows takes a new run after them.
+ * Sequence numbers are implicit in the encoding, so the sink renumbers
+ * each emitted instruction from its current size, and the appended
+ * rows decode with seq continuing from the existing ones.
+ */
+TEST(BackendStreamShapes, NonEmptyPackedSinkFallsBackToEmit)
+{
+    struct AppendingSink : isa::TraceSink
+    {
+        PackedTrace trace;
+        uint64_t base = 0;
+        void
+        emit(const isa::DynInst &d) override
+        {
+            isa::DynInst row = d;
+            row.seq += base;
+            trace.append(row, true);
+        }
+    };
+
+    isa::Assembler a;
+    a.li(1, isa::Reg{1});
+    a.halt();
+    const isa::Program p = a.finalize();
+
+    AppendingSink sink;
+    isa::DynInst pre;
+    pre.seq = 0;
+    pre.pc = 7;
+    sink.trace.append(pre, true); // pre-existing row
+    sink.base = sink.trace.size();
+    isa::Machine().run(p, &sink);
+    ASSERT_EQ(sink.trace.size(), 3u);
+
+    auto r = sink.trace.reader();
+    const uint32_t pcs[] = {7, 0, 1};
+    for (uint64_t i = 0; i < 3; i++) {
+        const isa::DynInst d = r.next();
+        EXPECT_EQ(d.seq, i);
+        EXPECT_EQ(d.pc, pcs[i]);
+    }
 }
 
 } // namespace

@@ -32,7 +32,7 @@ kernelStream(size_t bytes = 512)
 {
     auto trace = driver::recordKernelTrace(
         crypto::CipherId::RC4, kernels::KernelVariant::Optimized, bytes);
-    return trace.toPacked().serialize();
+    return trace.packedStream().serialize();
 }
 
 /** Decode every instruction of @p t (drives the Reader bounds). */
@@ -61,7 +61,7 @@ TEST(TraceIntegrity, ReplayFromDeserializedTraceMatchesOriginal)
     auto trace = driver::recordKernelTrace(
         crypto::CipherId::Rijndael, kernels::KernelVariant::Optimized,
         512);
-    const PackedTrace packed = trace.toPacked();
+    const PackedTrace packed = trace.packedStream();
     auto copy = PackedTrace::deserialize(packed.serialize());
     auto ra = packed.reader();
     auto rb = copy.reader();

@@ -115,13 +115,19 @@ TEST(Trace, RecordsResultValuesForValuePrediction)
 TEST(Trace, ZeroDestIsNotADependence)
 {
     Assembler a;
-    a.addq(r1, r2, reg_zero);
+    a.li(7, r1);
+    a.li(9, r2);
+    a.addq(r1, r2, reg_zero); // result discarded
+    a.mulq(r1, r2, r3);       // result kept
     a.halt();
     Program p = a.finalize();
     Machine m;
     VectorSink sink;
     m.run(p, &sink);
-    EXPECT_EQ(sink.trace[0].dest, reg_zero.n);
+    EXPECT_EQ(sink.trace[2].dest, reg_zero.n);
+    EXPECT_EQ(sink.trace[2].result, 0u);
+    EXPECT_EQ(sink.trace[3].dest, r3.n);
+    EXPECT_EQ(sink.trace[3].result, 63u);
 }
 
 TEST(Trace, SboxCarriesTableMetadata)

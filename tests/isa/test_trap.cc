@@ -4,14 +4,19 @@
  * isa::Trap carrying its cause, pc/seq context, and (for memory
  * faults) the effective address — while remaining catchable as
  * std::runtime_error at legacy call sites. Assembler errors carry
- * source-label context the same way.
+ * source-label context the same way. BackendTrapParity runs each trap
+ * into a packed recorder and into a plain capture sink and requires
+ * the same trap and the same retired prefix from both.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "isa/machine.hh"
+#include "isa/packed_trace.hh"
 #include "isa/program.hh"
 #include "isa/trap.hh"
 
@@ -22,19 +27,41 @@ using namespace cryptarch::isa;
 
 constexpr Reg r1{1}, r2{2}, r3{3};
 
-/** Run @p a to completion and return the trap it must raise. */
-Trap
-expectTrap(Assembler &a, Machine &m, uint64_t fuel = 1ull << 20)
+/** Capture sink for the retired stream. */
+struct CaptureSink : TraceSink
 {
-    a.halt();
-    Program p = a.finalize();
+    std::vector<DynInst> insts;
+    void emit(const DynInst &d) override { insts.push_back(d); }
+};
+
+/**
+ * Run @p p and return the trap it must raise. A trapping run has
+ * already emitted every instruction before the faulting one — exactly
+ * seq of them, in order — and not the faulting instruction itself.
+ */
+Trap
+expectTrap(const Program &p, Machine &m, uint64_t fuel = 1ull << 20)
+{
+    CaptureSink sink;
     try {
-        m.run(p, nullptr, fuel);
+        m.run(p, &sink, fuel);
     } catch (const Trap &t) {
+        EXPECT_EQ(sink.insts.size(), t.seq().value_or(~0ull))
+            << "retired prefix";
+        for (size_t i = 0; i < sink.insts.size(); i++)
+            EXPECT_EQ(sink.insts[i].seq, i);
         return t;
     }
     ADD_FAILURE() << "program completed without trapping";
     return Trap(TrapCause::PcOverrun, "unreachable");
+}
+
+/** Append a halt to @p a and run it to its trap. */
+Trap
+expectTrap(Assembler &a, Machine &m, uint64_t fuel = 1ull << 20)
+{
+    a.halt();
+    return expectTrap(a.finalize(), m, fuel);
 }
 
 TEST(Trap, OobLoadCarriesCauseAddressAndContext)
@@ -99,6 +126,7 @@ TEST(Trap, FuelExhaustionTraps)
     a.br("spin");
     Trap t = expectTrap(a, m, /*fuel=*/1000);
     EXPECT_EQ(t.cause(), TrapCause::FuelExhausted);
+    EXPECT_EQ(*t.seq(), 1000u);
     EXPECT_NE(std::string(t.what()).find("fuel-exhausted"),
               std::string::npos);
 }
@@ -113,14 +141,10 @@ TEST(Trap, InvalidSboxTableTrapsAtExecution)
     a.halt();
     Program p = a.finalize();
     p.insts[0].tableId = max_sbox_tables; // first invalid designator
-    try {
-        m.run(p);
-        FAIL() << "invalid SBOX table id did not trap";
-    } catch (const Trap &t) {
-        EXPECT_EQ(t.cause(), TrapCause::InvalidSboxTable);
-        ASSERT_TRUE(t.tableId().has_value());
-        EXPECT_EQ(*t.tableId(), max_sbox_tables);
-    }
+    Trap t = expectTrap(p, m);
+    EXPECT_EQ(t.cause(), TrapCause::InvalidSboxTable);
+    ASSERT_TRUE(t.tableId().has_value());
+    EXPECT_EQ(*t.tableId(), max_sbox_tables);
 }
 
 TEST(Trap, PcOverrunTraps)
@@ -129,15 +153,10 @@ TEST(Trap, PcOverrunTraps)
     Machine m;
     Assembler a;
     a.addq(r1, 1, r1);
-    Program p = a.finalize();
-    try {
-        m.run(p);
-        FAIL() << "pc overrun did not trap";
-    } catch (const Trap &t) {
-        EXPECT_EQ(t.cause(), TrapCause::PcOverrun);
-        EXPECT_NE(std::string(t.what()).find("pc-overrun"),
-                  std::string::npos);
-    }
+    Trap t = expectTrap(a.finalize(), m);
+    EXPECT_EQ(t.cause(), TrapCause::PcOverrun);
+    EXPECT_EQ(*t.seq(), 1u);
+    EXPECT_NE(std::string(t.what()).find("pc-overrun"), std::string::npos);
 }
 
 TEST(Trap, LegacyRuntimeErrorCatchStillWorks)
@@ -162,6 +181,133 @@ TEST(Trap, BulkAccessorTrapsWithoutExecutionContext)
         EXPECT_FALSE(t.pc().has_value());
         EXPECT_FALSE(t.regs().has_value());
     }
+}
+
+// --- trap reproducibility ---------------------------------------------
+
+/** Packed append with results kept, straight off emit(). */
+struct PackedKeepSink : TraceSink
+{
+    PackedTrace trace;
+    void emit(const DynInst &d) override { trace.append(d, true); }
+};
+
+/**
+ * Run @p p on two fresh machines with identical @p fuel, one feeding a
+ * packed recorder and one a plain capture sink. Both must trap with the
+ * same cause, pc, seq, address, table and message, having retired the
+ * same prefix (everything before the trapping instruction). Returns
+ * the first trap for cause-specific assertions.
+ */
+Trap
+expectTrapParity(const Program &p, uint64_t fuel = 1ull << 20)
+{
+    PackedKeepSink packed;
+    CaptureSink raw;
+
+    auto runOne = [&](TraceSink *sink) -> std::optional<Trap> {
+        Machine m;
+        try {
+            m.run(p, sink, fuel);
+        } catch (const Trap &t) {
+            return t;
+        }
+        return std::nullopt;
+    };
+
+    auto ta = runOne(&packed);
+    auto tb = runOne(&raw);
+    if (!ta || !tb) {
+        ADD_FAILURE() << "expected both runs to trap (packed="
+                      << ta.has_value() << " raw=" << tb.has_value()
+                      << ")";
+        return Trap(TrapCause::PcOverrun, "unreachable");
+    }
+
+    EXPECT_EQ(ta->cause(), tb->cause());
+    EXPECT_EQ(ta->pc(), tb->pc());
+    EXPECT_EQ(ta->seq(), tb->seq());
+    EXPECT_EQ(ta->addr(), tb->addr());
+    EXPECT_EQ(ta->accessSize(), tb->accessSize());
+    EXPECT_EQ(ta->tableId(), tb->tableId());
+    EXPECT_STREQ(ta->what(), tb->what());
+
+    // Retired prefix parity: exactly seq instructions, same encoding.
+    EXPECT_EQ(raw.insts.size(), ta->seq().value_or(~0ull));
+    PackedTrace reencoded;
+    for (const auto &d : raw.insts)
+        reencoded.append(d, true);
+    EXPECT_EQ(packed.trace.serialize(), reencoded.serialize());
+    return *ta;
+}
+
+TEST(BackendTrapParity, OobLoad)
+{
+    Assembler a;
+    a.li(0x10'0000'0000, r1); // wide (> 2^32) and out of bounds
+    a.ldq(r2, r1, 8);
+    a.halt();
+    Trap t = expectTrapParity(a.finalize());
+    EXPECT_EQ(t.cause(), TrapCause::OobLoad);
+    EXPECT_EQ(*t.seq(), 1u);
+    EXPECT_EQ(*t.addr(), 0x10'0000'0008u); // the full address, not 32 bits
+}
+
+TEST(BackendTrapParity, OobStore)
+{
+    Assembler a;
+    a.li(0xFFFFFF, r1);
+    a.stq(r2, r1, 0);
+    a.halt();
+    Trap t = expectTrapParity(a.finalize());
+    EXPECT_EQ(t.cause(), TrapCause::OobStore);
+}
+
+TEST(BackendTrapParity, MisalignedAccess)
+{
+    Assembler a;
+    a.li(13, r1);
+    a.ldl(r2, r1, 0);
+    a.halt();
+    Trap t = expectTrapParity(a.finalize());
+    EXPECT_EQ(t.cause(), TrapCause::Misaligned);
+}
+
+TEST(BackendTrapParity, InvalidSboxTable)
+{
+    // The assembler rejects bad designators at emit time, so forge one
+    // post-assembly; execution must catch it.
+    Assembler a;
+    a.li(0, r1);
+    a.li(0, r2);
+    a.sbox(0, 0, r1, r2, r3);
+    a.halt();
+    Program p = a.finalize();
+    p.insts[2].tableId = max_sbox_tables;
+    Trap t = expectTrapParity(p);
+    EXPECT_EQ(t.cause(), TrapCause::InvalidSboxTable);
+    EXPECT_EQ(*t.tableId(), max_sbox_tables);
+}
+
+TEST(BackendTrapParity, FuelExhausted)
+{
+    Assembler a;
+    a.label("spin");
+    a.addq(r1, 1, r1);
+    a.br("spin");
+    a.halt();
+    Trap t = expectTrapParity(a.finalize(), 1000);
+    EXPECT_EQ(t.cause(), TrapCause::FuelExhausted);
+    EXPECT_EQ(*t.seq(), 1000u);
+}
+
+TEST(BackendTrapParity, PcOverrun)
+{
+    Assembler a;
+    a.li(5, r1);
+    a.addq(r1, 1, r2); // falls off the end: no halt
+    Trap t = expectTrapParity(a.finalize());
+    EXPECT_EQ(t.cause(), TrapCause::PcOverrun);
 }
 
 TEST(AsmError, UndefinedLabelNamesLabelAndInstruction)

@@ -135,20 +135,4 @@ TEST(Env, DoubleParsesAndRejectsNegative)
     EXPECT_EQ(util::envWarningCount(), before + 1);
 }
 
-TEST(Env, UnknownExecBackendWarnsThroughTheSharedParser)
-{
-    // The satellite contract: CRYPTARCH_EXEC_BACKEND=typo must produce
-    // one typed warning listing the accepted values — exercised here
-    // against the same envChoice call the driver uses.
-    util::resetEnvWarningsForTesting();
-    EnvGuard g("CRYPTARCH_EXEC_BACKEND", "typo");
-    const uint64_t before = util::envWarningCount();
-    EXPECT_EQ(util::envChoice("CRYPTARCH_EXEC_BACKEND",
-                              {{"auto", 0}, {"interpreter", 1},
-                               {"threaded", 2}},
-                              0),
-              0);
-    EXPECT_EQ(util::envWarningCount(), before + 1);
-}
-
 } // namespace
