@@ -175,6 +175,15 @@ OooScheduler::issueOf(const DynInst &inst, Cycle ready, unsigned &lat,
     // one the unit is unreachable regardless). nextFree() walks the
     // issue ring directly, so a run of slot-full cycles costs one
     // array scan instead of a lookup per losing cycle.
+    // With unlimited issue slots (the DF family) a lost cycle is lost
+    // to the unit alone and the slot side has nothing to book, so after
+    // a failed booking the run of full unit cycles that follows is
+    // skipped in one read-only firstFit() scan and charged to fuWait
+    // as a block. Full cells are existing entries, so skipping them
+    // instead of probing each changes no resource bookkeeping (DESIGN
+    // §8). Limited-issue machines keep the per-cycle walk, since there
+    // each retry also probes the slot ring; unsatisfiable pools
+    // (units > capacity) keep it too, so the watchdog below trips.
     // The two causes this loop can charge accumulate in locals and
     // are stored once on exit: every stall slot is written at most
     // once per instruction, which is what lets emit() leave the
@@ -196,10 +205,22 @@ OooScheduler::issueOf(const DynInst &inst, Cycle ready, unsigned &lat,
         // contended retry pays one compare. An unsatisfiable pool
         // (units can never fit the capacity) turns into a typed trap
         // instead of an infinite loop.
-        if (fuWait > progressBudgetBase + 8 * instIndex) [[unlikely]]
+        const uint64_t budget = progressBudgetBase + 8 * instIndex;
+        if (fuWait > budget) [[unlikely]]
             throwNoProgress(inst, ready, slotAt, fuCause, slotWait,
                             fuWait);
         cycle = slotAt + 1;
+        if (!issueSlots.limited() && units <= fu->capacity()) {
+            const Cycle fit = fu->firstFit(cycle, units);
+            // Every cycle from ready on was a failed booking, so the
+            // per-cycle walk would trip at cycle ready + budget with
+            // budget + 1 failures: report exactly that.
+            if (fuWait + (fit - cycle) > budget) [[unlikely]]
+                throwNoProgress(inst, ready, ready + budget, fuCause,
+                                slotWait, budget + 1);
+            fuWait += fit - cycle;
+            cycle = fit;
+        }
     }
     if (slotWait) {
         stall[static_cast<size_t>(StallCause::IssueSlot)] = slotWait;
@@ -297,13 +318,18 @@ OooScheduler::auditRetired(const DynInst &inst, Cycle fetch,
                  + " retire slots booked at cycle "
                  + std::to_string(retire) + " with width "
                  + std::to_string(retireSlots.capacity()));
-    for (const auto *fu : {&aluUnits, &rotUnits, &mulSlots, &dcachePorts})
-        if (overbooked(*fu, issue))
+    auto checkPool = [&](const CycleResource &fu) {
+        if (overbooked(fu, issue))
             fail("fu-capacity",
                  "a functional-unit pool is overbooked at cycle "
                      + std::to_string(issue) + " ("
-                     + std::to_string(fu->bookedAt(issue)) + " > "
-                     + std::to_string(fu->capacity()) + ")");
+                     + std::to_string(fu.bookedAt(issue)) + " > "
+                     + std::to_string(fu.capacity()) + ")");
+    };
+    for (const auto *fu : {&aluUnits, &rotUnits, &mulSlots, &dcachePorts})
+        checkPool(*fu);
+    for (const auto &ports : sboxPorts)
+        checkPool(ports);
 }
 
 void

@@ -99,6 +99,47 @@ class CycleResource
         return cycle;
     }
 
+    /**
+     * First cycle >= @p cycle with room for @p units, as a read-only
+     * scan: unlike nextFree() it creates no entry and touches nothing.
+     * A cycle that has no room holds a count > 0, so it is already an
+     * existing entry and probing it would change no bookkeeping; this
+     * is what lets the scheduler pass over a run of full cycles in one
+     * call and stay bit-identical to probing them one by one. The
+     * in-window live span [cycle, hiCycle) is read as contiguous ring
+     * spans, 16 cells per OR-reduced block so the fit test vectorizes;
+     * every cell at or past hiCycle (or outside the window) is absent
+     * and fits. @p units must fit the capacity.
+     */
+    Cycle
+    firstFit(Cycle cycle, unsigned units = 1) const
+    {
+        if (cap == unlimited || cycle - base >= cells.size())
+            return cycle;
+        // A cell fits iff its count is at most cap - units.
+        const uint32_t room = cap - units;
+        while (cycle < hiCycle) {
+            size_t pos = cycle & mask;
+            size_t span = cells.size() - pos;
+            if (hiCycle - cycle < span)
+                span = hiCycle - cycle;
+            const uint32_t *cell = cells.data() + pos;
+            size_t i = 0;
+            for (; i + 16 <= span; i += 16) {
+                uint32_t fits = 0;
+                for (size_t j = 0; j < 16; j++)
+                    fits |= (cell[i + j] & count_mask) <= room;
+                if (fits)
+                    break;
+            }
+            for (; i < span; i++)
+                if ((cell[i] & count_mask) <= room)
+                    return cycle + i;
+            cycle += span;
+        }
+        return cycle;
+    }
+
     /** True when @p units fit at @p cycle without booking them. */
     bool
     canReserve(Cycle cycle, unsigned units = 1) const

@@ -67,6 +67,23 @@ TEST(Audit, KernelsPassOnEveryPreset)
     }
 }
 
+TEST(Audit, SboxPortPoolsPassOnOptimizedKernels)
+{
+    // The SBox-cache port pools are only booked by Optimized kernels on
+    // the machines with SBox caches (4W+ and 8W+); the fu-capacity
+    // check covers them alongside the ALU, rotator, multiplier and
+    // D-cache pools.
+    AuditGuard audit(true);
+    for (const auto &info : crypto::cipherCatalog()) {
+        for (const auto &cfg : {MachineConfig::fourWidePlus(),
+                                MachineConfig::eightWidePlus()}) {
+            EXPECT_NO_THROW(runKernel(
+                info.id, kernels::KernelVariant::Optimized, cfg))
+                << info.name << " on " << cfg.name;
+        }
+    }
+}
+
 TEST(Audit, AuditingChangesNoStatistic)
 {
     // Byte-identity requirement: the auditor observes, never steers.

@@ -9,11 +9,13 @@
  * test drives both through long random op sequences (booking walks,
  * joint tryBook/unbook reservations, horizon prunes, deliberate
  * below-horizon probes) and demands every return value and the live
- * entry count agree at every step.
+ * entry count agree at every step. The read-only firstFit() scan is
+ * checked against the reference's probe-by-probe walk the same way.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "cycle_resource_ref.hh"
@@ -64,12 +66,40 @@ TEST(CycleResourceRing, WindowSlidesAndRegrowsDownward)
     EXPECT_FALSE(res.canReserve(1));
 }
 
+TEST(CycleResourceRing, FirstFitSkipsFullRunsWithoutTouching)
+{
+    CycleResource res(1);
+    for (Cycle c = 0; c < 40; c++)
+        res.book(c);
+    res.book(41);
+    EXPECT_EQ(res.firstFit(0), 40u);  // 40 full cells, scanned in blocks
+    EXPECT_EQ(res.firstFit(40), 40u);
+    EXPECT_EQ(res.firstFit(41), 42u); // past the highest entry: free
+    EXPECT_EQ(res.firstFit(1000), 1000u);
+    EXPECT_EQ(res.entryCount(), 41u); // no probe created an entry
+
+    CycleResource pair(2);
+    pair.book(10, 1);
+    EXPECT_EQ(pair.firstFit(10, 1), 10u);
+    EXPECT_EQ(pair.firstFit(10, 2), 11u);
+
+    // Below the window base a cycle's ring position aliases a live
+    // cell (any power-of-two window up to 2^16 maps both to the same
+    // slot); the scan must read it as absent, i.e. free.
+    CycleResource high(1);
+    for (Cycle c = 100000; c < 100040; c++)
+        high.book(c);
+    const Cycle alias = 100000 - (Cycle{1} << 16);
+    EXPECT_EQ(high.firstFit(alias), alias);
+}
+
 TEST(CycleResourceRing, UnlimitedTracksNothing)
 {
     CycleResource res(0);
     EXPECT_EQ(res.reserve(42, 100), 42u);
     EXPECT_EQ(res.nextFree(42), 42u);
     EXPECT_TRUE(res.canReserve(42, 1000));
+    EXPECT_EQ(res.firstFit(42, 100), 42u);
     EXPECT_EQ(res.entryCount(), 0u);
     EXPECT_FALSE(res.limited());
 }
@@ -156,6 +186,91 @@ TEST(CycleResourceDifferential, RandomOpsMatchReference)
 TEST(CycleResourceDifferential, UnlimitedMatchesReference)
 {
     differentialEpisode(0, 0xDECAF, 5000);
+}
+
+/**
+ * firstFit() against the reference's per-cycle probe walk, which it
+ * stands in for in the scheduler's unlimited-issue retry loop. Bursts
+ * of reservations at one cycle build the long full runs a DF+Res
+ * replay scans; the cursor occasionally jumps far
+ * enough that the window must grow, prunes cross the 4096-entry gate,
+ * and probes below the pruned horizon hit phantom capacity and slide
+ * the window base down. At every check the ring's read-only scan must
+ * name the cycle where the reference walk books, and booking just that
+ * cycle must leave the reference walk's entry count.
+ */
+void
+firstFitEpisode(unsigned cap, uint32_t seed, int ops)
+{
+    std::mt19937 rng(seed);
+    CycleResource ring(cap);
+    CycleResourceRef ref(cap);
+    const unsigned maxUnits = cap < 2 ? cap : 2;
+
+    Cycle cursor = 0;
+    Cycle horizon = 0;
+    Cycle frontier = 0; ///< highest cycle any reservation landed on
+
+    auto check = [&](Cycle cycle, unsigned units, int op) {
+        const Cycle fit = ring.firstFit(cycle, units);
+        Cycle won = cycle;
+        while (!ref.tryBook(won, units))
+            won++;
+        ASSERT_EQ(fit, won)
+            << "firstFit(" << cycle << ", " << units << ") op " << op;
+        ASSERT_TRUE(ring.tryBook(fit, units)) << "op " << op;
+        ASSERT_EQ(ring.entryCount(), ref.entryCount()) << "op " << op;
+    };
+
+    for (int i = 0; i < ops; i++) {
+        const unsigned units = 1 + rng() % maxUnits;
+        switch (rng() % 8) {
+        case 0:
+        case 1: {
+            Cycle at = cursor + rng() % 8;
+            for (unsigned k = rng() % 64; k; k--) {
+                Cycle got = ring.reserve(at, units);
+                ASSERT_EQ(got, ref.reserve(at, units)) << "burst op " << i;
+                frontier = std::max(frontier, got);
+            }
+            break;
+        }
+        case 2:
+            // Mostly a frontier step, sometimes catching up with the
+            // booked backlog (so full runs stay hundreds of cycles
+            // long, as in a replay), rarely a jump past the window.
+            if (rng() % 50 == 0)
+                cursor += 20000 + rng() % 40000;
+            else if (rng() % 4 == 0 && frontier > cursor + 64)
+                cursor = frontier - rng() % 64;
+            else
+                cursor += rng() % 4;
+            break;
+        case 3:
+            horizon = cursor > 5 ? cursor - rng() % 5 : cursor;
+            ring.retireBefore(horizon);
+            ref.retireBefore(horizon);
+            break;
+        case 4:
+            if (horizon > 0) {
+                check(rng() % horizon, units, i);
+                break;
+            }
+            [[fallthrough]];
+        default:
+            check(cursor > 16 ? cursor - rng() % 16 : cursor, units, i);
+            break;
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+        ASSERT_EQ(ring.entryCount(), ref.entryCount()) << "op " << i;
+    }
+}
+
+TEST(CycleResourceDifferential, FirstFitMatchesPerCycleWalk)
+{
+    for (unsigned cap : {1u, 2u, 4u})
+        firstFitEpisode(cap, 0xF1257 + cap, 15000);
 }
 
 TEST(CycleResourceDifferential, EraseGateAndPhantomCapacity)

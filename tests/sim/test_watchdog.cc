@@ -91,6 +91,50 @@ TEST(Watchdog, BudgetOverrideShortensTheFuse)
     }
 }
 
+TEST(Watchdog, UnlimitedIssueTrapReportIsUnchanged)
+{
+    // An unlimited-issue machine with one D-cache port: 32 independent
+    // loads queue on the port, each passing over its predecessors' full
+    // cycles in one scan, and the MULQ fed by the last load then
+    // livelocks on a one-half-slot multiplier. The report must match
+    // the probe-by-probe walk's exactly: the ready cycle the load queue
+    // produced, and the stalled frontier at the budget (64 base + 8 per
+    // earlier instruction = 336 cycles past ready, 337 failed bookings).
+    constexpr isa::Reg r4{4};
+    isa::Assembler a;
+    a.li(0x1000, r1);
+    a.li(9, r2);
+    for (int i = 0; i < 32; i++)
+        a.ldq(r3, r1, 8 * i);
+    a.mulq(r3, r2, r4);
+    a.halt();
+
+    MachineConfig cfg = MachineConfig::dataflow();
+    cfg.name = "DF-port1-mul1";
+    cfg.numDCachePorts = 1;
+    cfg.mulHalfSlots = 1;
+    sim::setProgressBudgetOverride(64);
+    isa::Machine m;
+    try {
+        sim::simulate(m, a.finalize(), cfg, 1ull << 32,
+                      sim::ConfigPolicy::Trusted);
+        sim::setProgressBudgetOverride(0);
+        FAIL() << "expected the watchdog to fire";
+    } catch (const isa::Trap &t) {
+        sim::setProgressBudgetOverride(0);
+        EXPECT_EQ(t.cause(), isa::TrapCause::NoProgress);
+        const std::string msg = t.what();
+        EXPECT_NE(msg.find("seq=34 pc=34 class=IntMult blocked on fu_mul"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("(ready cycle 35, probed through cycle 371: "
+                           "337 failed unit bookings, 0 issue-slot wait "
+                           "cycles; base budget 64"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 TEST(Watchdog, AdmissibleMachinesNeverFire)
 {
     // The same MULQ-bearing program completes on every preset: the
