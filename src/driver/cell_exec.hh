@@ -44,17 +44,25 @@ keyOf(const SweepCell &cell)
 }
 
 /**
- * The order in which the thread pool claims the cells of @p todo
- * (indices into @p cells): one cell per trace group in turn,
- * round-robin over the groups in order of first appearance, each
- * group's cells kept in their @p todo order. Grids are group-major, so
- * claiming them in index order would put every worker on the first
- * group's once_flag while one thread records it; interleaved, the
- * first G claims start G different recordings. Results land in fixed
- * slots, so the order cannot change any output.
+ * The cells of @p todo (indices into @p cells) split into trace
+ * groups, in order of first appearance, each group's cells kept in
+ * their @p todo order. The thread pool gives each group one
+ * TraceGroup; the process pool sends each group as one batch.
  */
-std::vector<uint32_t> claimOrder(const std::vector<SweepCell> &cells,
-                                 const std::vector<uint32_t> &todo);
+std::vector<std::vector<uint32_t>>
+groupCells(const std::vector<SweepCell> &cells,
+           const std::vector<uint32_t> &todo);
+
+/**
+ * The order in which the thread pool claims the cells of @p groups:
+ * one cell per group in turn, round-robin over the groups. Grids are
+ * group-major, so claiming them in index order would put every worker
+ * on the first group's once_flag while one thread records it;
+ * interleaved, the first G claims start G different recordings.
+ * Results land in fixed slots, so the order cannot change any output.
+ */
+std::vector<uint32_t>
+claimOrder(const std::vector<std::vector<uint32_t>> &groups);
 
 /** Fill outcome/message from the exception behind @p ep. */
 void classifyFailure(SweepResult &r, std::exception_ptr ep);

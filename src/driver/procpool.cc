@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <thread>
 
 #include <fcntl.h>
@@ -19,10 +18,17 @@
 #include <unistd.h>
 
 #include "driver/cell_exec.hh"
+#include "util/bytes.hh"
 #include "util/checksum.hh"
 
 namespace cryptarch::driver
 {
+
+using util::putString;
+using util::putU16;
+using util::putU32;
+using util::putU64;
+using util::putU8;
 
 const char *
 journalErrorKindName(JournalErrorKind kind)
@@ -42,131 +48,19 @@ journalErrorKindName(JournalErrorKind kind)
 namespace
 {
 
-// ---------------------------------------------------------------------
-// Little-endian byte codec shared by the result payload, the pipe
-// frames, and the journal (the PackedTrace serialization convention).
-
-void
-putU16(std::vector<uint8_t> &b, uint16_t v)
-{
-    b.push_back(static_cast<uint8_t>(v));
-    b.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void
-putU32(std::vector<uint8_t> &b, uint32_t v)
-{
-    for (int i = 0; i < 4; i++)
-        b.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &b, uint64_t v)
-{
-    for (int i = 0; i < 8; i++)
-        b.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putString(std::vector<uint8_t> &b, const std::string &s)
-{
-    putU32(b, static_cast<uint32_t>(s.size()));
-    b.insert(b.end(), s.begin(), s.end());
-}
-
-uint32_t
-loadU32(const uint8_t *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; i++)
-        v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-loadU64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; i++)
-        v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-/** Longest string the payload codec accepts (error messages). */
-constexpr uint32_t max_string_bytes = 1u << 20;
-
 /** Result payload codec version (bumped with SimStats changes). */
 constexpr uint16_t payload_version = 1;
 
-/** Bounds-checked sequential payload reader. */
-class ByteReader
+/** Per-record framing: index, payload length, trailing checksum. */
+constexpr size_t record_overhead_bytes = 4 + 4 + 8;
+
+/** Short reads in payloads, records, journals and command frames. */
+void
+truncated(const char *what, size_t, size_t)
 {
-  public:
-    explicit ByteReader(std::span<const uint8_t> bytes) : s(bytes) {}
-
-    uint8_t
-    getU8(const char *what)
-    {
-        need(1, what);
-        return s[pos++];
-    }
-
-    uint16_t
-    getU16(const char *what)
-    {
-        need(2, what);
-        auto v = static_cast<uint16_t>(s[pos] | (s[pos + 1] << 8));
-        pos += 2;
-        return v;
-    }
-
-    uint32_t
-    getU32(const char *what)
-    {
-        need(4, what);
-        uint32_t v = loadU32(s.data() + pos);
-        pos += 4;
-        return v;
-    }
-
-    uint64_t
-    getU64(const char *what)
-    {
-        need(8, what);
-        uint64_t v = loadU64(s.data() + pos);
-        pos += 8;
-        return v;
-    }
-
-    std::string
-    getString(const char *what)
-    {
-        uint32_t len = getU32(what);
-        if (len > max_string_bytes)
-            throw JournalError(JournalErrorKind::Inconsistent,
-                               std::string("impossible string length in ")
-                                   + what);
-        need(len, what);
-        std::string out(reinterpret_cast<const char *>(s.data() + pos), len);
-        pos += len;
-        return out;
-    }
-
-    bool done() const { return pos == s.size(); }
-
-  private:
-    void
-    need(size_t n, const char *what)
-    {
-        if (s.size() - pos < n)
-            throw JournalError(JournalErrorKind::Truncated,
-                               std::string("payload cut short reading ")
-                                   + what);
-    }
-
-    std::span<const uint8_t> s;
-    size_t pos = 0;
-};
+    throw JournalError(JournalErrorKind::Truncated,
+                       std::string("cut short reading ") + what);
+}
 
 // ---------------------------------------------------------------------
 // Full-buffer pipe/file I/O (EINTR-safe).
@@ -219,7 +113,7 @@ serializeResultPayload(const SweepResult &r)
     std::vector<uint8_t> b;
     b.reserve(512 + r.message.size());
     putU16(b, payload_version);
-    b.push_back(static_cast<uint8_t>(r.outcome));
+    putU8(b, static_cast<uint8_t>(r.outcome));
     putU32(b, static_cast<uint32_t>(r.worker));
     putString(b, r.message);
 
@@ -259,55 +153,55 @@ serializeResultPayload(const SweepResult &r)
 void
 deserializeResultPayload(std::span<const uint8_t> payload, SweepResult &r)
 {
-    ByteReader in(payload);
-    if (in.getU16("version") != payload_version)
+    util::ByteReader in(payload, truncated);
+    if (in.u16("version") != payload_version)
         throw JournalError(JournalErrorKind::BadVersion,
                            "unknown result payload version");
-    const uint8_t outcome = in.getU8("outcome");
+    const uint8_t outcome = in.u8("outcome");
     if (outcome >= num_cell_outcomes)
         throw JournalError(JournalErrorKind::Inconsistent,
                            "impossible cell outcome");
-    const auto worker = static_cast<int32_t>(in.getU32("worker"));
-    std::string message = in.getString("message");
+    const auto worker = static_cast<int32_t>(in.u32("worker"));
+    std::string message = in.string("message");
 
     sim::SimStats st;
-    st.model = in.getString("stats model");
-    st.instructions = in.getU64("instructions");
-    st.cycles = in.getU64("cycles");
-    st.condBranches = in.getU64("cond branches");
-    st.mispredicts = in.getU64("mispredicts");
-    st.loads = in.getU64("loads");
-    st.stores = in.getU64("stores");
-    st.sboxAccesses = in.getU64("sbox accesses");
-    st.sboxCacheHits = in.getU64("sbox cache hits");
-    st.sboxCacheAccesses = in.getU64("sbox cache accesses");
-    st.sboxCacheMisses = in.getU64("sbox cache misses");
-    const uint32_t nSbox = in.getU32("sbox cache count");
+    st.model = in.string("stats model");
+    st.instructions = in.u64("instructions");
+    st.cycles = in.u64("cycles");
+    st.condBranches = in.u64("cond branches");
+    st.mispredicts = in.u64("mispredicts");
+    st.loads = in.u64("loads");
+    st.stores = in.u64("stores");
+    st.sboxAccesses = in.u64("sbox accesses");
+    st.sboxCacheHits = in.u64("sbox cache hits");
+    st.sboxCacheAccesses = in.u64("sbox cache accesses");
+    st.sboxCacheMisses = in.u64("sbox cache misses");
+    const uint32_t nSbox = in.u32("sbox cache count");
     if (nSbox > 4096)
         throw JournalError(JournalErrorKind::Inconsistent,
                            "impossible SBox cache count");
     st.sboxCaches.resize(nSbox);
     for (auto &c : st.sboxCaches) {
-        c.accesses = in.getU64("sbox cache accesses[i]");
-        c.misses = in.getU64("sbox cache misses[i]");
+        c.accesses = in.u64("sbox cache accesses[i]");
+        c.misses = in.u64("sbox cache misses[i]");
     }
     for (sim::CacheStats *c : {&st.l1, &st.l2, &st.tlb}) {
-        c->accesses = in.getU64("cache accesses");
-        c->misses = in.getU64("cache misses");
+        c->accesses = in.u64("cache accesses");
+        c->misses = in.u64("cache misses");
     }
-    if (in.getU32("op-class count") != isa::num_op_classes)
+    if (in.u32("op-class count") != isa::num_op_classes)
         throw JournalError(JournalErrorKind::Inconsistent,
                            "op-class count mismatch (foreign build?)");
     for (auto &v : st.classCounts)
-        v = in.getU64("class count");
-    if (in.getU32("stall-cause count") != sim::num_stall_causes)
+        v = in.u64("class count");
+    if (in.u32("stall-cause count") != sim::num_stall_causes)
         throw JournalError(JournalErrorKind::Inconsistent,
                            "stall-cause count mismatch (foreign build?)");
     for (auto &v : st.stallCycles)
-        v = in.getU64("stall cycles");
+        v = in.u64("stall cycles");
     for (auto &perClass : st.stallByClass)
         for (auto &v : perClass)
-            v = in.getU64("per-class stall cycles");
+            v = in.u64("per-class stall cycles");
     if (!in.done())
         throw JournalError(JournalErrorKind::Inconsistent,
                            "trailing bytes after payload");
@@ -334,6 +228,51 @@ gridFingerprint(const std::vector<SweepCell> &cells)
 }
 
 // ---------------------------------------------------------------------
+// Records: the worker pipe frame and the journal entry.
+
+std::vector<uint8_t>
+encodeResultRecord(uint32_t index, const SweepResult &r)
+{
+    const auto payload = serializeResultPayload(r);
+    std::vector<uint8_t> rec;
+    rec.reserve(record_overhead_bytes + payload.size());
+    putU32(rec, index);
+    putU32(rec, static_cast<uint32_t>(payload.size()));
+    rec.insert(rec.end(), payload.begin(), payload.end());
+    putU64(rec, util::fnv1a64(rec.data(), rec.size()));
+    return rec;
+}
+
+RecordScan
+scanRecord(std::span<const uint8_t> bytes)
+{
+    RecordScan rec;
+    auto corrupt = [&](JournalErrorKind kind, const char *detail) {
+        rec.status = RecordStatus::Corrupt;
+        rec.error = kind;
+        rec.detail = detail;
+        return rec;
+    };
+    if (bytes.size() < record_overhead_bytes)
+        return rec;
+    util::ByteReader in(bytes, truncated);
+    rec.index = in.u32("record index");
+    const uint32_t len = in.u32("record length");
+    if (len > SweepJournal::max_payload)
+        return corrupt(JournalErrorKind::Inconsistent,
+                       "impossible record length");
+    if (in.remaining() < size_t{len} + 8)
+        return rec;
+    rec.payload = in.bytes(len, "record payload");
+    if (in.u64("record checksum") != util::fnv1a64(bytes.data(), 8 + len))
+        return corrupt(JournalErrorKind::BadChecksum,
+                       "record checksum mismatch");
+    rec.status = RecordStatus::Complete;
+    rec.size = record_overhead_bytes + len;
+    return rec;
+}
+
+// ---------------------------------------------------------------------
 // Checkpoint journal.
 
 namespace
@@ -341,8 +280,6 @@ namespace
 
 /** Journal header: magic, version, grid fingerprint, cell count. */
 constexpr size_t journal_header_bytes = 4 + 4 + 8 + 8;
-/** Per-record framing: index, payload length, trailing checksum. */
-constexpr size_t record_overhead_bytes = 4 + 4 + 8;
 
 std::vector<uint8_t>
 journalHeader(uint64_t fingerprint, uint64_t cellCount)
@@ -414,35 +351,33 @@ SweepJournal::open(const std::string &path, uint64_t fingerprint,
 
     if (data.size() < journal_header_bytes)
         fail(JournalErrorKind::Truncated, "header cut short");
-    if (loadU32(&data[0]) != magic)
+    util::ByteReader header(data, truncated); // long enough: checked above
+    if (header.u32("magic") != magic)
         fail(JournalErrorKind::BadMagic, "not a sweep journal");
-    if (loadU32(&data[4]) != version)
+    if (header.u32("version") != version)
         fail(JournalErrorKind::BadVersion, "unknown journal version");
-    if (loadU64(&data[8]) != fingerprint || loadU64(&data[16]) != cellCount)
+    if (header.u64("fingerprint") != fingerprint
+        || header.u64("cell count") != cellCount)
         fail(JournalErrorKind::GridMismatch,
              "journal belongs to a different sweep grid");
 
     std::vector<char> seen(cellCount, 0);
     size_t off = journal_header_bytes;
-    while (data.size() - off >= record_overhead_bytes) {
-        const uint8_t *rec = data.data() + off;
-        const uint32_t index = loadU32(rec);
-        const uint32_t len = loadU32(rec + 4);
-        if (len > max_payload)
-            fail(JournalErrorKind::Inconsistent, "impossible record length");
-        if (data.size() - off < record_overhead_bytes + len)
+    for (;;) {
+        const RecordScan rec = scanRecord(std::span(data).subspan(off));
+        if (rec.status == RecordStatus::Incomplete)
             break; // partial trailing record: the SIGKILL-mid-append case
-        const uint64_t sum = util::fnv1a64(rec, 8 + len);
-        if (sum != loadU64(rec + 8 + len))
-            fail(JournalErrorKind::BadChecksum, "record checksum mismatch");
-        if (index >= cellCount)
+        if (rec.status == RecordStatus::Corrupt)
+            fail(rec.error, rec.detail);
+        if (rec.index >= cellCount)
             fail(JournalErrorKind::Inconsistent, "record index out of range");
-        if (seen[index])
+        if (seen[rec.index])
             fail(JournalErrorKind::Inconsistent, "duplicate cell record");
-        seen[index] = 1;
-        loaded_.emplace_back(index,
-                             std::vector<uint8_t>(rec + 8, rec + 8 + len));
-        off += record_overhead_bytes + len;
+        seen[rec.index] = 1;
+        loaded_.emplace_back(rec.index,
+                             std::vector<uint8_t>(rec.payload.begin(),
+                                                  rec.payload.end()));
+        off += rec.size;
     }
 
     // Drop the partial tail (if any) so appends start on a record
@@ -472,22 +407,19 @@ SweepJournal::openFresh(const std::string &path, uint64_t fingerprint,
 }
 
 void
-SweepJournal::append(uint32_t index, std::span<const uint8_t> payload)
+SweepJournal::append(std::span<const uint8_t> record)
 {
     if (fd_ < 0)
         return;
-    std::vector<uint8_t> rec;
-    rec.reserve(record_overhead_bytes + payload.size());
-    putU32(rec, index);
-    putU32(rec, static_cast<uint32_t>(payload.size()));
-    rec.insert(rec.end(), payload.begin(), payload.end());
-    putU64(rec, util::fnv1a64(rec.data(), rec.size()));
     // One write per record: a kill can only sever the trailing record,
     // which open() tolerates and truncates away.
-    if (!writeFull(fd_, rec.data(), rec.size()))
-        throw JournalError(JournalErrorKind::Io,
-                           std::string("append failed: ")
-                               + std::strerror(errno));
+    if (!writeFull(fd_, record.data(), record.size())) {
+        std::fprintf(stderr,
+                     "sweep: journal append failed (%s); later cells "
+                     "are not journaled\n",
+                     std::strerror(errno));
+        close();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -574,15 +506,12 @@ applyChaos(ChaosAction action)
 // Pipe protocol.
 
 constexpr uint32_t cmd_magic = 0x42575343; // "CSWB" little-endian
-constexpr uint32_t res_magic = 0x52575343; // "CSWR" little-endian
-/** Result frame header: magic, cell index, payload length, checksum. */
-constexpr size_t res_header_bytes = 4 + 4 + 4 + 8;
 
 /**
  * Worker process main loop: claim batches from the command pipe, run
- * each cell (chaos hook first), stream back one checksummed result
- * frame per cell. Exits on command-pipe EOF (orderly shutdown), a
- * malformed command, or a dead parent.
+ * each cell (chaos hook first), stream back one result record per
+ * cell. Exits on command-pipe EOF (orderly shutdown), a malformed
+ * command, or a dead parent.
  */
 [[noreturn]] void
 workerMain(int cmdFd, int resFd, const std::vector<SweepCell> &cells)
@@ -594,20 +523,22 @@ workerMain(int cmdFd, int resFd, const std::vector<SweepCell> &cells)
         uint8_t hdr[8];
         if (!readFull(cmdFd, hdr, sizeof(hdr)))
             break; // EOF: orderly shutdown
-        if (loadU32(hdr) != cmd_magic)
+        util::ByteReader head(hdr, truncated);
+        if (head.u32("command magic") != cmd_magic)
             ::_exit(4);
-        const uint32_t count = loadU32(hdr + 4);
+        const uint32_t count = head.u32("command count");
         if (count == 0 || count > cells.size())
             ::_exit(4);
         std::vector<uint8_t> raw(size_t{count} * 4);
         if (!readFull(cmdFd, raw.data(), raw.size()))
             break;
+        util::ByteReader indices(raw, truncated);
 
         // Batches are group-aligned: one TraceGroup records the
         // kernel once, every cell of the batch replays it.
         detail::TraceGroup group;
         for (uint32_t k = 0; k < count; k++) {
-            const uint32_t idx = loadU32(&raw[size_t{k} * 4]);
+            const uint32_t idx = indices.u32("cell index");
             if (idx >= cells.size())
                 ::_exit(4);
             const SweepCell &cell = cells[idx];
@@ -615,17 +546,8 @@ workerMain(int cmdFd, int resFd, const std::vector<SweepCell> &cells)
             SweepResult r = detail::makeResultShell(cell);
             detail::executeCell(cell, group, r);
 
-            const auto payload = serializeResultPayload(r);
-            std::vector<uint8_t> frame;
-            frame.reserve(res_header_bytes + payload.size());
-            putU32(frame, res_magic);
-            putU32(frame, idx);
-            putU32(frame, static_cast<uint32_t>(payload.size()));
-            uint64_t sum = util::fnv1a64(frame.data() + 4, 8);
-            sum = util::fnv1a64(payload.data(), payload.size(), sum);
-            putU64(frame, sum);
-            frame.insert(frame.end(), payload.begin(), payload.end());
-            if (!writeFull(resFd, frame.data(), frame.size()))
+            const auto record = encodeResultRecord(idx, r);
+            if (!writeFull(resFd, record.data(), record.size()))
                 ::_exit(0); // parent went away
         }
     }
@@ -707,17 +629,10 @@ runCellsProcess(const std::vector<SweepCell> &cells,
 
     // Group-aligned batches in first-appearance order, so results are
     // deterministic and each batch shares one recorded trace.
-    std::map<detail::GroupKey, size_t> batchOf;
-    std::vector<std::vector<uint32_t>> batchList;
-    for (uint32_t i : todo) {
-        auto [it, fresh] =
-            batchOf.try_emplace(detail::keyOf(cells[i]), batchList.size());
-        if (fresh)
-            batchList.emplace_back();
-        batchList[it->second].push_back(i);
-    }
-    std::deque<std::vector<uint32_t>> queue(batchList.begin(),
-                                            batchList.end());
+    auto batches = detail::groupCells(cells, todo);
+    std::deque<std::vector<uint32_t>> queue(
+        std::make_move_iterator(batches.begin()),
+        std::make_move_iterator(batches.end()));
 
     const double deadlineSecs = options.cellDeadlineSeconds > 0
         ? options.cellDeadlineSeconds
@@ -740,13 +655,6 @@ runCellsProcess(const std::vector<SweepCell> &cells,
     std::vector<WorkerProc> workers(want);
     unsigned respawnsLeft = options.respawnBudget;
 
-    auto journalAppend = [&](uint32_t idx) {
-        if (!journal)
-            return;
-        const auto payload = serializeResultPayload(results[idx]);
-        journal->append(idx, payload);
-    };
-
     auto finalizeCell = [&](uint32_t idx, CellOutcome outcome,
                             std::string message, int workerIndex,
                             bool journalIt) {
@@ -754,9 +662,9 @@ runCellsProcess(const std::vector<SweepCell> &cells,
         r.outcome = outcome;
         r.message = std::move(message);
         r.worker = workerIndex;
+        if (journalIt && journal)
+            journal->append(encodeResultRecord(idx, r));
         results[idx] = std::move(r);
-        if (journalIt)
-            journalAppend(idx);
     };
 
     auto requeueRemainder = [&](WorkerProc &w) {
@@ -800,41 +708,19 @@ runCellsProcess(const std::vector<SweepCell> &cells,
         return buf;
     };
 
-    auto handleDeath = [&](WorkerProc &w, int wi) {
+    // Retire a failed worker: reap it (SIGKILL first when it may still
+    // be running), charge its in-flight cell with @p outcome and
+    // @p message (empty: describe how the worker died), and requeue
+    // the rest of its batch.
+    auto retireWorker = [&](WorkerProc &w, int wi, CellOutcome outcome,
+                            std::string message, bool killFirst) {
+        if (killFirst)
+            ::kill(w.pid, SIGKILL);
         const int status = reapWorker(w);
         if (w.got < w.batch.size()) {
-            finalizeCell(w.batch[w.got], CellOutcome::Crashed,
-                         describeDeath(status), wi, /*journalIt=*/true);
-            requeueRemainder(w);
-        }
-        w.batch.clear();
-        w.got = 0;
-        w.buf.clear();
-    };
-
-    auto handleTimeout = [&](WorkerProc &w, int wi) {
-        ::kill(w.pid, SIGKILL);
-        reapWorker(w);
-        char msg[128];
-        std::snprintf(msg, sizeof(msg),
-                      "cell exceeded %.1f s watchdog deadline; "
-                      "worker killed",
-                      deadlineSecs);
-        finalizeCell(w.batch[w.got], CellOutcome::TimedOut, msg, wi,
-                     /*journalIt=*/true);
-        requeueRemainder(w);
-        w.batch.clear();
-        w.got = 0;
-        w.buf.clear();
-    };
-
-    auto handleProtocolError = [&](WorkerProc &w, int wi,
-                                   const std::string &what) {
-        ::kill(w.pid, SIGKILL);
-        reapWorker(w);
-        if (w.got < w.batch.size()) {
-            finalizeCell(w.batch[w.got], CellOutcome::Error,
-                         "corrupt result frame from worker: " + what, wi,
+            if (message.empty())
+                message = describeDeath(status);
+            finalizeCell(w.batch[w.got], outcome, std::move(message), wi,
                          /*journalIt=*/true);
             requeueRemainder(w);
         }
@@ -843,49 +729,38 @@ runCellsProcess(const std::vector<SweepCell> &cells,
         w.buf.clear();
     };
 
-    // Parse complete frames from w.buf into results. Returns a
+    // Consume the complete records at the front of w.buf into results,
+    // appending each to the journal as received. Returns a
     // protocol-error description, empty while the stream is
     // well-formed.
-    auto parseFrames = [&](WorkerProc &w) -> std::string {
+    auto parseRecords = [&](WorkerProc &w) -> std::string {
         size_t off = 0;
         std::string error;
-        while (w.buf.size() - off >= res_header_bytes) {
-            const uint8_t *p = w.buf.data() + off;
-            if (loadU32(p) != res_magic) {
-                error = "bad frame magic";
+        for (;;) {
+            const RecordScan rec = scanRecord(std::span(w.buf).subspan(off));
+            if (rec.status == RecordStatus::Incomplete)
+                break; // wait for more bytes
+            if (rec.status == RecordStatus::Corrupt) {
+                error = rec.detail;
                 break;
             }
-            const uint32_t idx = loadU32(p + 4);
-            const uint32_t len = loadU32(p + 8);
-            if (len > SweepJournal::max_payload) {
-                error = "impossible frame length";
-                break;
-            }
-            if (w.buf.size() - off < res_header_bytes + len)
-                break; // incomplete frame: wait for more bytes
-            uint64_t sum = util::fnv1a64(p + 4, 8);
-            sum = util::fnv1a64(p + res_header_bytes, len, sum);
-            if (sum != loadU64(p + 12)) {
-                error = "frame checksum mismatch";
-                break;
-            }
-            if (w.got >= w.batch.size() || idx != w.batch[w.got]) {
-                error = "unexpected cell index in frame";
+            if (w.got >= w.batch.size() || rec.index != w.batch[w.got]) {
+                error = "unexpected cell index in record";
                 break;
             }
             try {
-                deserializeResultPayload({p + res_header_bytes, len},
-                                         results[idx]);
+                deserializeResultPayload(rec.payload, results[rec.index]);
             } catch (const JournalError &e) {
                 // Undo any partial fill before failing the worker.
-                results[idx] = detail::makeResultShell(cells[idx]);
+                results[rec.index] = detail::makeResultShell(cells[rec.index]);
                 error = e.what();
                 break;
             }
-            journalAppend(idx);
+            if (journal)
+                journal->append(std::span(w.buf).subspan(off, rec.size));
             w.got++;
             w.deadline = Clock::now() + deadlineDur;
-            off += res_header_bytes + len;
+            off += rec.size;
         }
         w.buf.erase(w.buf.begin(),
                     w.buf.begin() + static_cast<ptrdiff_t>(off));
@@ -987,13 +862,16 @@ runCellsProcess(const std::vector<SweepCell> &cells,
             const ssize_t n = ::read(w.resFd, chunk, sizeof(chunk));
             if (n > 0) {
                 w.buf.insert(w.buf.end(), chunk, chunk + n);
-                const std::string err = parseFrames(w);
+                const std::string err = parseRecords(w);
                 if (!err.empty())
-                    handleProtocolError(w, busyIdx[k], err);
-            } else if (n == 0) {
-                handleDeath(w, busyIdx[k]);
-            } else if (errno != EINTR && errno != EAGAIN) {
-                handleDeath(w, busyIdx[k]);
+                    retireWorker(w, busyIdx[k], CellOutcome::Error,
+                                 "corrupt result frame from worker: "
+                                     + err,
+                                 /*killFirst=*/true);
+            } else if (n == 0
+                       || (errno != EINTR && errno != EAGAIN)) {
+                retireWorker(w, busyIdx[k], CellOutcome::Crashed, "",
+                             /*killFirst=*/false);
             }
         }
 
@@ -1001,8 +879,15 @@ runCellsProcess(const std::vector<SweepCell> &cells,
         now = Clock::now();
         for (int wi : busyIdx) {
             WorkerProc &w = workers[static_cast<size_t>(wi)];
-            if (w.busy() && now >= w.deadline)
-                handleTimeout(w, wi);
+            if (w.busy() && now >= w.deadline) {
+                char msg[128];
+                std::snprintf(msg, sizeof(msg),
+                              "cell exceeded %.1f s watchdog deadline; "
+                              "worker killed",
+                              deadlineSecs);
+                retireWorker(w, wi, CellOutcome::TimedOut, msg,
+                             /*killFirst=*/true);
+            }
         }
     }
 

@@ -12,14 +12,15 @@
  * each kernel once and replays it per model, same as the thread pool)
  * and supervises a single-threaded poll loop:
  *
- *   parent -> worker   CMD frame:  magic, count, count x u32 indices
- *   worker -> parent   RES frame:  magic, index, payload length,
- *                                  FNV-1a checksum, payload
+ *   parent -> worker   command: magic, count, count x u32 indices
+ *   worker -> parent   one journal record per finished cell (below)
  *
- * The payload is the serialized SweepResult body (see codec below).
- * Every result frame is checksummed; a frame that fails validation
- * kills the worker and marks the in-flight cell Error rather than
- * trusting a corrupt stream.
+ * The record payload is the serialized SweepResult body (see codec
+ * below). One scanner, scanRecord(), validates the records of both the
+ * pipe and the journal file; a record that fails validation kills the
+ * worker and marks the in-flight cell Error rather than trusting a
+ * corrupt stream. A record that passes is appended to the journal
+ * verbatim, so the supervisor never re-encodes a worker's result.
  *
  * Fault handling, per the fail-soft sweep contract:
  *   - worker dies on a signal / exits mid-batch: the in-flight cell
@@ -40,8 +41,8 @@
  *
  * ## Checkpoint journal
  *
- * An append-only file in the PackedTrace serialization
- * style: a versioned header binding the journal to its grid, then one
+ * An append-only file in the util/bytes.hh little-endian codec: a
+ * versioned header binding the journal to its grid, then one
  * FNV-checksummed record per finished cell:
  *
  *   header  u32 magic "CSWJ", u32 version, u64 grid fingerprint,
@@ -60,7 +61,10 @@
  * the sweep falls back to a fresh run with a rewritten journal.
  * Resumed cells reuse their journaled results verbatim, which is what
  * makes a kill-and-resume BENCH_*.json byte-identical to an
- * uninterrupted run.
+ * uninterrupted run. A failed append (a full disk, a file-size limit)
+ * warns once on stderr and closes the journal: the sweep finishes,
+ * later cells are simply not journaled, and a resume tolerates the
+ * partial record the failed write may have left.
  *
  * ## Chaos fault points
  *
@@ -144,6 +148,43 @@ void deserializeResultPayload(std::span<const uint8_t> payload,
                               SweepResult &r);
 
 /**
+ * Frame @p r as one record of cell @p index: u32 index, u32 payload
+ * length, serializeResultPayload() bytes, u64 FNV-1a over all three.
+ * Workers write it to the result pipe; the journal stores it as is.
+ */
+std::vector<uint8_t> encodeResultRecord(uint32_t index,
+                                        const SweepResult &r);
+
+/** What scanRecord() found at the front of a buffer. */
+enum class RecordStatus : uint8_t
+{
+    Complete,   ///< a whole record that passed its checksum
+    Incomplete, ///< a prefix of a record (or nothing): wait for more
+    Corrupt,    ///< a record that can never validate
+};
+
+/** One scanRecord() result. */
+struct RecordScan
+{
+    RecordStatus status = RecordStatus::Incomplete;
+    /** Why, when Corrupt. */
+    JournalErrorKind error = JournalErrorKind::Inconsistent;
+    const char *detail = "";
+    /** When Complete: the cell index, the payload (a view into the
+     *  scanned buffer) and the bytes the whole record spans. */
+    uint32_t index = 0;
+    std::span<const uint8_t> payload;
+    size_t size = 0;
+};
+
+/**
+ * Scan the record at the front of @p bytes. A length above
+ * SweepJournal::max_payload is Corrupt (Inconsistent) as soon as it is
+ * read; a checksum mismatch is Corrupt (BadChecksum).
+ */
+RecordScan scanRecord(std::span<const uint8_t> bytes);
+
+/**
  * FNV-1a fingerprint of a cell list's coordinates. Journals store it
  * so a resume against a different grid is a typed GridMismatch, not
  * silently wrong results.
@@ -193,11 +234,12 @@ class SweepJournal
     }
 
     /**
-     * Append one finished cell as a single write(), so a kill can
-     * only ever leave a partial *trailing* record. Throws
-     * JournalError(Io) when the host write fails.
+     * Append one encodeResultRecord() record as a single write(), so a
+     * kill can only ever leave a partial *trailing* record. When the
+     * write fails, warns on stderr and closes the journal; later
+     * appends do nothing.
      */
-    void append(uint32_t index, std::span<const uint8_t> payload);
+    void append(std::span<const uint8_t> record);
 
   private:
     void close();

@@ -5,11 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
 #include "driver/cell_exec.hh"
 #include "driver/procpool.hh"
@@ -72,8 +70,8 @@ sweepOptionsFromEnv()
 namespace detail
 {
 
-std::vector<uint32_t>
-claimOrder(const std::vector<SweepCell> &cells,
+std::vector<std::vector<uint32_t>>
+groupCells(const std::vector<SweepCell> &cells,
            const std::vector<uint32_t> &todo)
 {
     std::map<GroupKey, size_t> groupIndex;
@@ -85,10 +83,18 @@ claimOrder(const std::vector<SweepCell> &cells,
             groups.emplace_back();
         groups[it->second].push_back(i);
     }
+    return groups;
+}
 
+std::vector<uint32_t>
+claimOrder(const std::vector<std::vector<uint32_t>> &groups)
+{
+    size_t total = 0;
+    for (const auto &g : groups)
+        total += g.size();
     std::vector<uint32_t> order;
-    order.reserve(todo.size());
-    for (size_t round = 0; order.size() < todo.size(); round++)
+    order.reserve(total);
+    for (size_t round = 0; order.size() < total; round++)
         for (const auto &g : groups)
             if (round < g.size())
                 order.push_back(g[round]);
@@ -207,8 +213,6 @@ executeCell(const SweepCell &cell, TraceGroup &group, SweepResult &r)
 namespace
 {
 
-using detail::GroupKey;
-using detail::keyOf;
 using detail::TraceGroup;
 
 /**
@@ -255,14 +259,14 @@ runCellsThread(const std::vector<SweepCell> &cells,
 {
     // Group table is fully built before workers start; workers only
     // race on each group's once_flag.
-    std::map<GroupKey, std::unique_ptr<TraceGroup>> groups;
-    for (uint32_t i : todo) {
-        auto &slot = groups[keyOf(cells[i])];
-        if (!slot)
-            slot = std::make_unique<TraceGroup>();
-    }
+    const auto groups = detail::groupCells(cells, todo);
+    std::vector<TraceGroup> traces(groups.size());
+    std::vector<uint32_t> groupOf(cells.size());
+    for (size_t g = 0; g < groups.size(); g++)
+        for (uint32_t i : groups[g])
+            groupOf[i] = static_cast<uint32_t>(g);
 
-    const std::vector<uint32_t> order = detail::claimOrder(cells, todo);
+    const std::vector<uint32_t> order = detail::claimOrder(groups);
     std::atomic<size_t> next{0};
     std::mutex journalMutex;
 
@@ -274,11 +278,11 @@ runCellsThread(const std::vector<SweepCell> &cells,
             const uint32_t i = order[k];
             const SweepCell &cell = cells[i];
             SweepResult r = detail::makeResultShell(cell);
-            detail::executeCell(cell, *groups.at(keyOf(cell)), r);
+            detail::executeCell(cell, traces[groupOf[i]], r);
             if (journal) {
-                auto payload = serializeResultPayload(r);
+                const auto record = encodeResultRecord(i, r);
                 std::lock_guard<std::mutex> lock(journalMutex);
-                journal->append(i, payload);
+                journal->append(record);
             }
             results[i] = std::move(r);
         }
@@ -357,10 +361,7 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
 std::vector<SweepResult>
 runSweep(const SweepSpec &spec)
 {
-    SweepOptions options = sweepOptionsFromEnv();
-    if (spec.threads)
-        options.threads = spec.threads;
-    return runSweep(spec, options);
+    return runSweep(spec, sweepOptionsFromEnv());
 }
 
 const SweepResult &

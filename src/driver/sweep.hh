@@ -20,7 +20,7 @@
  * CRYPTARCH_SWEEP_* environment): the default Thread mode runs cells
  * on an in-process pool exactly as before, while Process mode forks
  * POSIX worker processes that claim group-aligned cell batches over a
- * pipe protocol and stream back checksummed serialized results
+ * pipe protocol and stream back checksummed journal records
  * (src/driver/procpool.hh). Process mode survives host-level faults
  * the thread pool cannot: a worker that dies on a signal marks only
  * its in-flight cell `crashed`, a worker past its per-cell watchdog
@@ -163,8 +163,6 @@ struct SweepSpec
     std::vector<kernels::KernelVariant> variants;
     std::vector<sim::MachineConfig> models;
     size_t bytes = session_bytes;
-    /** Worker threads; 0 = hardware concurrency. */
-    unsigned threads = 0;
 };
 
 /**
@@ -197,8 +195,7 @@ std::vector<SweepResult> runCells(const std::vector<SweepCell> &cells,
  */
 std::vector<SweepResult> runSweep(const SweepSpec &spec);
 
-/** As above with explicit crash-safety options (spec.threads is
- *  superseded by options.threads). */
+/** As above with explicit crash-safety options. */
 std::vector<SweepResult> runSweep(const SweepSpec &spec,
                                   const SweepOptions &options);
 

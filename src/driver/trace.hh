@@ -104,7 +104,7 @@ class RecordedTrace : public isa::TraceSink, public RemovedTraceAccessors
     void
     emit(const isa::DynInst &inst) override
     {
-        packed.append(inst, /*keepResult=*/false);
+        packed.append(inst);
     }
 
     /** Feed the captured stream, in order, into any sink. */

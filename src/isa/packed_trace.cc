@@ -1,7 +1,9 @@
 #include "isa/packed_trace.hh"
 
+#include <algorithm>
 #include <cstring>
 
+#include "util/bytes.hh"
 #include "util/checksum.hh"
 
 namespace cryptarch::isa
@@ -52,7 +54,7 @@ PackedTrace::sizeCode(uint8_t size)
 }
 
 void
-PackedTrace::append(const DynInst &inst, bool keepResult)
+PackedTrace::append(const DynInst &inst)
 {
     assert(inst.seq == size() && "seq must equal append index");
     assert(inst.numSrcs <= 3);
@@ -81,10 +83,6 @@ PackedTrace::append(const DynInst &inst, bool keepResult)
     if (inst.nextPc != inst.pc + 1) {
         flags |= f_next_pc_exc;
         nextPcExc_.push_back(inst.nextPc);
-    }
-    if (keepResult && inst.result != 0) {
-        flags |= f_has_result;
-        result_.push_back(inst.result);
     }
 
     std::array<uint8_t, row_bytes> row;
@@ -117,8 +115,7 @@ PackedTrace::packedBytes() const
     return fixed_.size() * row_bytes
         + addr32_.size() * sizeof(uint32_t)
         + addrWide_.size() * sizeof(uint64_t)
-        + nextPcExc_.size() * sizeof(uint32_t)
-        + result_.size() * sizeof(uint64_t);
+        + nextPcExc_.size() * sizeof(uint32_t);
 }
 
 namespace
@@ -126,161 +123,83 @@ namespace
 
 /** Serialized-stream layout constants. */
 constexpr uint8_t trace_magic[4] = {'C', 'P', 'T', 'R'};
-constexpr uint32_t trace_version = 1;
-constexpr size_t header_bytes = 56;
+constexpr uint32_t trace_version = 2;
+constexpr size_t header_bytes = 48;
 
 void
-putU32(std::vector<uint8_t> &out, uint32_t v)
+shortStream(const char *what, size_t need, size_t left)
 {
-    for (unsigned i = 0; i < 4; i++)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    throw TraceFormatError(TraceErrorKind::Truncated,
+                           std::string("stream ends inside ") + what
+                               + " (" + std::to_string(left)
+                               + " bytes left, " + std::to_string(need)
+                               + " needed)");
 }
-
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (unsigned i = 0; i < 8; i++)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-/** Bounded little-endian cursor over a deserializing stream. */
-struct ByteCursor
-{
-    std::span<const uint8_t> bytes;
-    size_t pos = 0;
-
-    size_t remaining() const { return bytes.size() - pos; }
-
-    void
-    need(size_t n, const char *what)
-    {
-        if (remaining() < n)
-            throw TraceFormatError(
-                TraceErrorKind::Truncated,
-                std::string("stream ends inside ") + what + " ("
-                    + std::to_string(remaining()) + " bytes left, "
-                    + std::to_string(n) + " needed)");
-    }
-
-    uint8_t u8() { return bytes[pos++]; }
-
-    uint16_t
-    u16()
-    {
-        uint16_t v = static_cast<uint16_t>(bytes[pos])
-            | static_cast<uint16_t>(bytes[pos + 1]) << 8;
-        pos += 2;
-        return v;
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (unsigned i = 0; i < 4; i++)
-            v |= static_cast<uint32_t>(bytes[pos + i]) << (8 * i);
-        pos += 4;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        for (unsigned i = 0; i < 8; i++)
-            v |= static_cast<uint64_t>(bytes[pos + i]) << (8 * i);
-        pos += 8;
-        return v;
-    }
-};
 
 } // namespace
 
 std::vector<uint8_t>
 PackedTrace::serialize() const
 {
-    const size_t n = size();
-    std::vector<uint8_t> out;
-    out.reserve(header_bytes + packedBytes());
-
-    // Payload first (appended after the header below); checksum needs
-    // it, so build it into a scratch buffer. The serialized payload is
-    // per-column even though the in-memory records are interleaved —
-    // the format (and its checksums in existing artifacts) predates
-    // the interleaving.
-    std::vector<uint8_t> payload;
-    payload.reserve(packedBytes());
-    auto row = [&](size_t i) { return fixed_[i].data(); };
-    auto gather = [&](size_t off, size_t len) {
-        for (size_t i = 0; i < n; i++)
-            payload.insert(payload.end(), row(i) + off,
-                           row(i) + off + len);
-    };
-    gather(off_pc, 4);
-    gather(off_op, 1);
-    gather(off_cls, 1);
-    gather(off_dest, 1);
-    gather(off_addr_src, 1);
-    gather(off_table_id, 1);
-    gather(off_srcs, 3);
-    gather(off_flags, 2);
+    static_assert(sizeof(fixed_[0]) == row_bytes);
+    const size_t rowsBytes = size() * row_bytes;
+    std::vector<uint8_t> tables;
     for (uint32_t v : addr32_)
-        putU32(payload, v);
+        util::putU32(tables, v);
     for (uint64_t v : addrWide_)
-        putU64(payload, v);
+        util::putU64(tables, v);
     for (uint32_t v : nextPcExc_)
-        putU32(payload, v);
-    for (uint64_t v : result_)
-        putU64(payload, v);
+        util::putU32(tables, v);
+    const uint64_t checksum = util::fnv1a64(
+        tables.data(), tables.size(),
+        util::fnv1a64(fixed_.data(), rowsBytes));
 
+    std::vector<uint8_t> out;
+    out.reserve(header_bytes + rowsBytes + tables.size());
     out.insert(out.end(), trace_magic, trace_magic + 4);
-    putU32(out, trace_version);
-    putU64(out, n);
-    putU64(out, addr32_.size());
-    putU64(out, addrWide_.size());
-    putU64(out, nextPcExc_.size());
-    putU64(out, result_.size());
-    putU64(out, util::fnv1a64(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
+    util::putU32(out, trace_version);
+    util::putU64(out, size());
+    util::putU64(out, addr32_.size());
+    util::putU64(out, addrWide_.size());
+    util::putU64(out, nextPcExc_.size());
+    util::putU64(out, checksum);
+    const auto *rows = reinterpret_cast<const uint8_t *>(fixed_.data());
+    out.insert(out.end(), rows, rows + rowsBytes);
+    out.insert(out.end(), tables.begin(), tables.end());
     return out;
 }
 
 PackedTrace
 PackedTrace::deserialize(std::span<const uint8_t> bytes)
 {
-    ByteCursor cur{bytes};
-    cur.need(header_bytes, "header");
-    if (std::memcmp(bytes.data(), trace_magic, 4) != 0)
+    util::ByteReader in(bytes, shortStream);
+    if (std::memcmp(in.bytes(4, "header").data(), trace_magic, 4) != 0)
         throw TraceFormatError(TraceErrorKind::BadMagic,
                                "stream does not begin with 'CPTR'");
-    cur.pos = 4;
-    const uint32_t version = cur.u32();
+    const uint32_t version = in.u32("header");
     if (version != trace_version)
         throw TraceFormatError(TraceErrorKind::BadVersion,
                                "version " + std::to_string(version)
                                    + ", expected "
                                    + std::to_string(trace_version));
-    const uint64_t n = cur.u64();
-    const uint64_t nAddr32 = cur.u64();
-    const uint64_t nAddrWide = cur.u64();
-    const uint64_t nNextPc = cur.u64();
-    const uint64_t nResult = cur.u64();
-    const uint64_t checksum = cur.u64();
+    const uint64_t n = in.u64("header");
+    const uint64_t nAddr32 = in.u64("header");
+    const uint64_t nAddrWide = in.u64("header");
+    const uint64_t nNextPc = in.u64("header");
+    const uint64_t checksum = in.u64("header");
 
     // Counts are attacker/corruption-controlled: bound them by the
     // actual stream length before sizing anything from them.
-    const uint64_t fixed_bytes_per_inst = 4 + 1 + 1 + 1 + 1 + 1 + 3 + 2;
-    if (n > bytes.size() / fixed_bytes_per_inst
-        || nAddr32 > bytes.size() / 4 || nAddrWide > bytes.size() / 8
-        || nNextPc > bytes.size() / 4 || nResult > bytes.size() / 8)
+    if (n > bytes.size() / row_bytes || nAddr32 > bytes.size() / 4
+        || nAddrWide > bytes.size() / 8 || nNextPc > bytes.size() / 4)
         throw TraceFormatError(TraceErrorKind::Truncated,
                                "header counts exceed stream length");
-    const uint64_t payload_bytes = n * fixed_bytes_per_inst
-        + nAddr32 * 4 + nAddrWide * 8 + nNextPc * 4 + nResult * 8;
-    if (cur.remaining() != payload_bytes)
+    const uint64_t payload_bytes =
+        n * row_bytes + nAddr32 * 4 + nAddrWide * 8 + nNextPc * 4;
+    if (in.remaining() != payload_bytes)
         throw TraceFormatError(
             TraceErrorKind::Truncated,
-            "payload is " + std::to_string(cur.remaining())
+            "payload is " + std::to_string(in.remaining())
                 + " bytes, header promises "
                 + std::to_string(payload_bytes));
     if (util::fnv1a64(bytes.data() + header_bytes, payload_bytes)
@@ -290,32 +209,18 @@ PackedTrace::deserialize(std::span<const uint8_t> bytes)
 
     PackedTrace t;
     t.fixed_.resize(n);
-    auto scatter = [&](size_t off, size_t len) {
-        for (uint64_t i = 0; i < n; i++)
-            std::memcpy(t.fixed_[i].data() + off,
-                        bytes.data() + cur.pos + i * len, len);
-        cur.pos += n * len;
-    };
-    scatter(off_pc, 4);
-    scatter(off_op, 1);
-    scatter(off_cls, 1);
-    scatter(off_dest, 1);
-    scatter(off_addr_src, 1);
-    scatter(off_table_id, 1);
-    scatter(off_srcs, 3);
-    scatter(off_flags, 2);
+    const auto rows = in.bytes(n * row_bytes, "fixed records");
+    std::copy(rows.begin(), rows.end(),
+              reinterpret_cast<uint8_t *>(t.fixed_.data()));
     t.addr32_.resize(nAddr32);
-    for (uint64_t i = 0; i < nAddr32; i++)
-        t.addr32_[i] = cur.u32();
+    for (auto &v : t.addr32_)
+        v = in.u32("addr32");
     t.addrWide_.resize(nAddrWide);
-    for (uint64_t i = 0; i < nAddrWide; i++)
-        t.addrWide_[i] = cur.u64();
+    for (auto &v : t.addrWide_)
+        v = in.u64("addrWide");
     t.nextPcExc_.resize(nNextPc);
-    for (uint64_t i = 0; i < nNextPc; i++)
-        t.nextPcExc_[i] = cur.u32();
-    t.result_.resize(nResult);
-    for (uint64_t i = 0; i < nResult; i++)
-        t.result_[i] = cur.u64();
+    for (auto &v : t.nextPcExc_)
+        v = in.u32("nextPcExc");
 
     t.validateConsistency();
     return t;
@@ -329,12 +234,11 @@ PackedTrace::validateConsistency() const
                                "instruction " + std::to_string(i) + ": "
                                    + what);
     };
-    size_t wantAddr32 = 0, wantAddrWide = 0, wantNextPc = 0,
-           wantResult = 0;
+    size_t wantAddr32 = 0, wantAddrWide = 0, wantNextPc = 0;
     for (size_t i = 0; i < size(); i++) {
         const uint8_t *row = fixed_[i].data();
         const uint16_t flags = rowFlags(row);
-        if (flags & ~((1u << 14) - 1))
+        if (flags & reserved_flags)
             fail(i, "reserved flag bits set");
         const unsigned code = (flags >> size_code_shift) & size_code_mask;
         if (code >= sizeof(size_table))
@@ -349,12 +253,9 @@ PackedTrace::validateConsistency() const
             (flags & f_wide_addr) ? wantAddrWide++ : wantAddr32++;
         if (flags & f_next_pc_exc)
             wantNextPc++;
-        if (flags & f_has_result)
-            wantResult++;
     }
     if (wantAddr32 != addr32_.size() || wantAddrWide != addrWide_.size()
-        || wantNextPc != nextPcExc_.size()
-        || wantResult != result_.size())
+        || wantNextPc != nextPcExc_.size())
         throw TraceFormatError(TraceErrorKind::Inconsistent,
                                "flag columns and side-table sizes "
                                "disagree");
@@ -367,7 +268,6 @@ PackedTrace::clear()
     addr32_.clear();
     addrWide_.clear();
     nextPcExc_.clear();
-    result_.clear();
 }
 
 } // namespace cryptarch::isa

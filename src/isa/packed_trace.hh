@@ -1,6 +1,6 @@
 /**
  * @file
- * Structure-of-arrays compact encoding of a dynamic instruction stream.
+ * Compact encoding of a dynamic instruction stream.
  *
  * A trace replayed across a model grid is read once per timing model,
  * so replay throughput is bounded by how many bytes per instruction
@@ -18,25 +18,27 @@
  *     srcs      3xu8  source registers (always three slots)
  *     flags     u16   see flag bits below
  *
- *   In memory the fixed fields are interleaved as one 14-byte record
- *   per instruction (offsets above, little-endian) rather than stored
- *   as separate columns: recording appends one contiguous record per
+ *   The fixed fields are interleaved as one 14-byte record per
+ *   instruction (offsets above, little-endian) rather than stored as
+ *   separate columns: recording appends one contiguous record per
  *   instruction and replay decodes one, so both directions touch a
- *   single sequential stream instead of eight. The serialized stream
- *   (serialize()/deserialize()) still writes per-column payloads —
- *   the format predates the interleaving and is checksummed, so the
- *   layout change cannot move bytes in any artifact.
+ *   single sequential stream instead of eight. serialize() writes the
+ *   records as they are stored.
  *
  *   side tables (entries only where the common case fails)
  *     addr32    u32   effective address, when != 0 and < 2^32
  *     addrWide  u64   escape for addresses >= 2^32
  *     nextPcExc u32   successor pc, when != pc + 1 (taken branches,
  *                     the final Halt)
- *     result    u64   written value, when kept and != 0
  *
  * flags bits: 0-1 numSrcs, 2 isLoad, 3 isStore, 4 branch, 5 taken,
- * 6 aliased, 7 hasAddr, 8 nextPc exception, 9 hasResult,
- * 10-12 size code (decode table {0,1,2,4,8}), 13 wide address.
+ * 6 aliased, 7 hasAddr, 8 nextPc exception, 10-12 size code (decode
+ * table {0,1,2,4,8}), 13 wide address; 9, 14 and 15 are reserved.
+ *
+ * Result values are not stored: no timing model reads them, and they
+ * are the one field that would otherwise dominate the encoding.
+ * Decoded instructions carry result 0; live TraceSinks still see the
+ * interpreter's results.
  *
  * Sequence numbers are implicit: appended instructions must arrive
  * with seq equal to their index (the functional Machine emits them
@@ -105,12 +107,10 @@ class PackedTrace
     static constexpr size_t row_bytes = 14;
 
     /**
-     * Append @p inst to the stream. @p inst.seq must equal size().
-     * With @p keepResult false the result value is dropped (decodes
-     * as 0) — timing models never read it, and results are the one
-     * field that would otherwise dominate the encoding.
+     * Append @p inst to the stream, dropping its result (it decodes
+     * as 0). @p inst.seq must equal size().
      */
-    void append(const DynInst &inst, bool keepResult = true);
+    void append(const DynInst &inst);
 
     /** Pre-size the fixed records for @p n instructions. */
     void reserve(size_t n);
@@ -126,7 +126,8 @@ class PackedTrace
     /**
      * Serialize to a self-describing byte stream: versioned header
      * (magic, version, per-table entry counts), FNV-1a checksum over
-     * the payload, then the columns and side tables little-endian.
+     * the payload, then the fixed records as stored and the side
+     * tables little-endian.
      */
     std::vector<uint8_t> serialize() const;
 
@@ -165,7 +166,6 @@ class PackedTrace
         size_t addr32Pos = 0;
         size_t addrWidePos = 0;
         size_t nextPcPos = 0;
-        size_t resultPos = 0;
     };
 
     Reader reader() const { return Reader(*this); }
@@ -180,10 +180,10 @@ class PackedTrace
     static constexpr uint16_t f_aliased = 1u << 6;
     static constexpr uint16_t f_has_addr = 1u << 7;
     static constexpr uint16_t f_next_pc_exc = 1u << 8;
-    static constexpr uint16_t f_has_result = 1u << 9;
     static constexpr unsigned size_code_shift = 10;
     static constexpr uint16_t size_code_mask = 0x7;
     static constexpr uint16_t f_wide_addr = 1u << 13;
+    static constexpr uint16_t reserved_flags = 0xC000 | 1u << 9;
 
     /** Access sizes the ISA produces, indexed by size code. */
     static constexpr uint8_t size_table[5] = {0, 1, 2, 4, 8};
@@ -232,7 +232,6 @@ class PackedTrace
     std::vector<uint32_t> addr32_;
     std::vector<uint64_t> addrWide_;
     std::vector<uint32_t> nextPcExc_;
-    std::vector<uint64_t> result_;
 };
 
 inline DynInst
@@ -277,11 +276,6 @@ PackedTrace::Reader::next()
         d.nextPc = t.nextPcExc_[nextPcPos++];
     } else {
         d.nextPc = d.pc + 1;
-    }
-    if (flags & f_has_result) {
-        if (resultPos >= t.result_.size())
-            overrun("result", i);
-        d.result = t.result_[resultPos++];
     }
 
     ++index;

@@ -56,7 +56,7 @@ struct PackSink : isa::TraceSink
     void
     emit(const isa::DynInst &inst) override
     {
-        trace.append(inst, /*keepResult=*/false);
+        trace.append(inst);
     }
 };
 

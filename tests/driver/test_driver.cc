@@ -107,10 +107,12 @@ TEST(Driver, ResultsAreOrderedAndThreadCountInvariant)
     spec.variants = {KernelVariant::BaselineRot};
     spec.models = {MachineConfig::fourWide(), MachineConfig::dataflow()};
 
-    spec.threads = 1;
-    auto serial = driver::runSweep(spec);
-    spec.threads = 8;
-    auto parallel = driver::runSweep(spec);
+    driver::SweepOptions serialOpts;
+    serialOpts.threads = 1;
+    auto serial = driver::runSweep(spec, serialOpts);
+    driver::SweepOptions parallelOpts;
+    parallelOpts.threads = 8;
+    auto parallel = driver::runSweep(spec, parallelOpts);
 
     ASSERT_EQ(serial.size(), 4u);
     ASSERT_EQ(parallel.size(), serial.size());
@@ -327,6 +329,15 @@ allIndices(size_t n)
     return todo;
 }
 
+/** The thread pool's claim order over @p todo. */
+std::vector<uint32_t>
+claimOrderOf(const std::vector<SweepCell> &cells,
+             const std::vector<uint32_t> &todo)
+{
+    return driver::detail::claimOrder(
+        driver::detail::groupCells(cells, todo));
+}
+
 TEST(ClaimOrder, IsAPermutationOfTodo)
 {
     const auto cells = groupMajorCells(5, 4);
@@ -335,11 +346,11 @@ TEST(ClaimOrder, IsAPermutationOfTodo)
     for (uint32_t i = 0; i < cells.size(); i++)
         if (i % 3 != 1)
             todo.push_back(i);
-    auto order = driver::detail::claimOrder(cells, todo);
+    auto order = claimOrderOf(cells, todo);
     ASSERT_EQ(order.size(), todo.size());
     std::sort(order.begin(), order.end());
     EXPECT_EQ(order, todo);
-    EXPECT_TRUE(driver::detail::claimOrder(cells, {}).empty());
+    EXPECT_TRUE(claimOrderOf(cells, {}).empty());
 }
 
 TEST(ClaimOrder, FirstClaimsHitDistinctGroups)
@@ -347,8 +358,7 @@ TEST(ClaimOrder, FirstClaimsHitDistinctGroups)
     for (size_t models : {1, 3, 4}) {
         const size_t groups = 6;
         const auto cells = groupMajorCells(groups, models);
-        const auto order =
-            driver::detail::claimOrder(cells, allIndices(cells.size()));
+        const auto order = claimOrderOf(cells, allIndices(cells.size()));
         std::set<driver::detail::GroupKey> first;
         for (size_t k = 0; k < groups; k++)
             first.insert(driver::detail::keyOf(cells[order[k]]));
@@ -361,8 +371,7 @@ TEST(ClaimOrder, KeepsOrderWithinEachGroup)
     // Uneven groups: the round-robin runs out of short groups first.
     auto cells = groupMajorCells(3, 5);
     cells.erase(cells.begin() + 6, cells.begin() + 9); // group 1: 2 cells
-    const auto order =
-        driver::detail::claimOrder(cells, allIndices(cells.size()));
+    const auto order = claimOrderOf(cells, allIndices(cells.size()));
     std::map<driver::detail::GroupKey, std::vector<uint32_t>> seen;
     for (uint32_t i : order)
         seen[driver::detail::keyOf(cells[i])].push_back(i);

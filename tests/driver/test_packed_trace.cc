@@ -2,10 +2,10 @@
  * @file
  * Round-trip fidelity of the packed trace encoding:
  * decode(encode(stream)) must equal the original stream field by
- * field, both for real kernel traces captured from the functional
- * Machine and for adversarial synthetic streams exercising every
- * escape path (wide addresses, nextPc exceptions, zero/nonzero
- * results, every access size). Across the whole kernel catalog, the
+ * field, results aside (the encoding drops them), both for real kernel
+ * traces captured from the functional Machine and for adversarial
+ * synthetic streams exercising every escape path (wide addresses,
+ * nextPc exceptions, every access size). Across the whole kernel catalog, the
  * driver's recorded trace must replay the exact interpreter stream and
  * survive a serialize/deserialize round trip byte for byte
  * (BackendParity).
@@ -55,6 +55,14 @@ expectInstEqual(const isa::DynInst &a, const isa::DynInst &b, size_t i)
     EXPECT_EQ(a.result, b.result) << "inst " << i;
 }
 
+/** @p d as the packed encoding decodes it: result dropped. */
+isa::DynInst
+withoutResult(isa::DynInst d)
+{
+    d.result = 0;
+    return d;
+}
+
 /** TraceSink capturing the raw DynInst stream. */
 struct VectorSink : isa::TraceSink
 {
@@ -64,8 +72,8 @@ struct VectorSink : isa::TraceSink
 
 TEST(PackedTrace, RoundTripsRealKernelStream)
 {
-    // Capture one raw stream straight off the Machine, pack it with
-    // results kept, and compare the decode field by field.
+    // Capture one raw stream straight off the Machine, pack it, and
+    // compare the decode field by field.
     driver::Workload w = driver::makeWorkload(crypto::CipherId::Rijndael);
     auto build = kernels::buildKernel(crypto::CipherId::Rijndael,
                                       kernels::KernelVariant::Optimized,
@@ -80,13 +88,13 @@ TEST(PackedTrace, RoundTripsRealKernelStream)
     PackedTrace packed;
     packed.reserve(raw.insts.size());
     for (const auto &inst : raw.insts)
-        packed.append(inst, /*keepResult=*/true);
+        packed.append(inst);
     ASSERT_EQ(packed.size(), raw.insts.size());
 
     auto r = packed.reader();
     for (size_t i = 0; i < raw.insts.size(); i++) {
         ASSERT_FALSE(r.done());
-        expectInstEqual(raw.insts[i], r.next(), i);
+        expectInstEqual(withoutResult(raw.insts[i]), r.next(), i);
     }
     EXPECT_TRUE(r.done());
 }
@@ -135,16 +143,16 @@ TEST(PackedTrace, RoundTripsSyntheticEscapePaths)
 
     PackedTrace packed;
     for (const auto &inst : stream)
-        packed.append(inst, /*keepResult=*/true);
+        packed.append(inst);
 
     auto r = packed.reader();
     for (size_t i = 0; i < stream.size(); i++)
-        expectInstEqual(stream[i], r.next(), i);
+        expectInstEqual(withoutResult(stream[i]), r.next(), i);
     EXPECT_TRUE(r.done());
 
     // Independent readers decode independently.
     auto r2 = packed.reader();
-    expectInstEqual(stream[0], r2.next(), 0);
+    expectInstEqual(withoutResult(stream[0]), r2.next(), 0);
 }
 
 TEST(PackedTrace, DropResultModeZeroesResultsOnly)
@@ -155,7 +163,7 @@ TEST(PackedTrace, DropResultModeZeroesResultsOnly)
     d.result = 0xDEADBEEF;
     d.nextPc = 8;
     PackedTrace packed;
-    packed.append(d, /*keepResult=*/false);
+    packed.append(d);
     auto out = packed.reader().next();
     EXPECT_EQ(out.result, 0u);
     out.result = d.result;
@@ -198,11 +206,11 @@ TEST(PackedTrace, ClearEmptiesEverything)
 /** Session small enough for -O0 CI yet multi-block for every cipher. */
 constexpr size_t parity_bytes = 256;
 
-/** Packed append with results kept, straight off emit(). */
-struct PackedKeepSink : isa::TraceSink
+/** Packed append straight off emit(). */
+struct PackedSink : isa::TraceSink
 {
     PackedTrace trace;
-    void emit(const isa::DynInst &d) override { trace.append(d, true); }
+    void emit(const isa::DynInst &d) override { trace.append(d); }
 };
 
 struct ParityCase
@@ -314,9 +322,9 @@ TEST_P(BackendParity, StreamsFieldForFieldIdentical)
 }
 
 /**
- * A plain emit() sink and a packed sink keeping results see the same
- * stream, results included, and both runs leave the reference cipher's
- * output in data memory.
+ * A plain emit() sink and a packed sink see the same stream, results
+ * aside, and both runs leave the reference cipher's output in data
+ * memory.
  */
 TEST_P(BackendParity, VirtualEmitPathMatches)
 {
@@ -325,13 +333,13 @@ TEST_P(BackendParity, VirtualEmitPathMatches)
 
     VectorSink a;
     const auto outA = run.run(a);
-    PackedKeepSink b;
+    PackedSink b;
     const auto outB = run.run(b);
 
     ASSERT_EQ(a.insts.size(), b.trace.size());
     auto r = b.trace.reader();
     for (size_t i = 0; i < a.insts.size(); i++) {
-        expectInstEqual(a.insts[i], r.next(), i);
+        expectInstEqual(withoutResult(a.insts[i]), r.next(), i);
         if (HasFailure())
             return;
     }
@@ -366,14 +374,14 @@ TEST(BackendStreamShapes, DiscardedDestinationParity)
     a.halt();
     const isa::Program p = a.finalize();
 
-    PackedKeepSink packed;
+    PackedSink packed;
     VectorSink raw;
     isa::Machine().run(p, &packed);
     isa::Machine().run(p, &raw);
 
     PackedTrace reencoded;
     for (const auto &d : raw.insts)
-        reencoded.append(d, true);
+        reencoded.append(d);
     EXPECT_EQ(packed.trace.serialize(), reencoded.serialize());
 
     for (size_t i : {size_t{2}, size_t{3}}) {
@@ -400,7 +408,7 @@ TEST(BackendStreamShapes, NonEmptyPackedSinkFallsBackToEmit)
         {
             isa::DynInst row = d;
             row.seq += base;
-            trace.append(row, true);
+            trace.append(row);
         }
     };
 
@@ -413,7 +421,7 @@ TEST(BackendStreamShapes, NonEmptyPackedSinkFallsBackToEmit)
     isa::DynInst pre;
     pre.seq = 0;
     pre.pc = 7;
-    sink.trace.append(pre, true); // pre-existing row
+    sink.trace.append(pre); // pre-existing row
     sink.base = sink.trace.size();
     isa::Machine().run(p, &sink);
     ASSERT_EQ(sink.trace.size(), 3u);

@@ -10,16 +10,24 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "driver/json.hh"
 #include "driver/procpool.hh"
 #include "driver/sweep.hh"
 #include "driver/trace.hh"
+#include "isa/packed_trace.hh"
+#include "util/bytes.hh"
+#include "util/checksum.hh"
 
 namespace
 {
@@ -28,6 +36,7 @@ using namespace cryptarch;
 using driver::CellOutcome;
 using driver::JournalError;
 using driver::JournalErrorKind;
+using driver::RecordStatus;
 using driver::SweepCell;
 using driver::SweepJournal;
 using driver::SweepOptions;
@@ -105,6 +114,30 @@ std::string
 tempPath(const std::string &name)
 {
     return ::testing::TempDir() + name;
+}
+
+/** A result whose every payload section is non-empty. */
+SweepResult
+sampleResult()
+{
+    SweepResult r;
+    r.cipher = crypto::CipherId::RC4;
+    r.variant = KernelVariant::Optimized;
+    r.model = "4W";
+    r.bytes = 512;
+    r.outcome = CellOutcome::Trapped;
+    r.message = "trap: oob @ 0x42";
+    r.worker = 3;
+    r.stats.model = "4W";
+    r.stats.instructions = 12345;
+    r.stats.cycles = 6789;
+    r.stats.loads = 42;
+    r.stats.sboxCaches.push_back({100, 7});
+    r.stats.l1 = {1000, 11};
+    r.stats.classCounts[2] = 99;
+    r.stats.stallCycles[1] = 55;
+    r.stats.stallByClass[2][1] = 33;
+    return r;
 }
 
 JournalErrorKind
@@ -399,24 +432,7 @@ TEST(ProcPool, CorruptJournalFallsBackToFreshRun)
 
 TEST(ProcPool, ResultPayloadRoundTrips)
 {
-    SweepResult r;
-    r.cipher = crypto::CipherId::RC4;
-    r.variant = KernelVariant::Optimized;
-    r.model = "4W";
-    r.bytes = 512;
-    r.outcome = CellOutcome::Trapped;
-    r.message = "trap: oob @ 0x42";
-    r.worker = 3;
-    r.stats.model = "4W";
-    r.stats.instructions = 12345;
-    r.stats.cycles = 6789;
-    r.stats.loads = 42;
-    r.stats.sboxCaches.push_back({100, 7});
-    r.stats.l1 = {1000, 11};
-    r.stats.classCounts[2] = 99;
-    r.stats.stallCycles[1] = 55;
-    r.stats.stallByClass[2][1] = 33;
-
+    const SweepResult r = sampleResult();
     const auto payload = driver::serializeResultPayload(r);
     SweepResult out;
     driver::deserializeResultPayload(payload, out);
@@ -444,6 +460,257 @@ TEST(ProcPool, ResultPayloadRoundTrips)
     longer.push_back(0);
     EXPECT_THROW(driver::deserializeResultPayload(longer, scratch),
                  JournalError);
+}
+
+TEST(ProcPool, RecordScannerClassifiesEveryCut)
+{
+    // Two records back to back, as a worker streams them and as the
+    // journal stores them.
+    SweepResult second = sampleResult();
+    second.outcome = CellOutcome::Ok;
+    second.message.clear();
+    second.worker = -1;
+    auto buf = driver::encodeResultRecord(2, sampleResult());
+    const size_t firstSize = buf.size();
+    const auto tail = driver::encodeResultRecord(0, second);
+    buf.insert(buf.end(), tail.begin(), tail.end());
+
+    // Every cut reads as the whole records before it, then one
+    // incomplete remainder (possibly empty).
+    for (size_t cut = 0; cut <= buf.size(); cut++) {
+        const std::span<const uint8_t> view(buf.data(), cut);
+        size_t off = 0, complete = 0;
+        for (;;) {
+            const auto rec = driver::scanRecord(view.subspan(off));
+            if (rec.status != RecordStatus::Complete) {
+                EXPECT_EQ(rec.status, RecordStatus::Incomplete) << cut;
+                break;
+            }
+            off += rec.size;
+            complete++;
+        }
+        const size_t want =
+            cut == buf.size() ? 2 : (cut >= firstSize ? 1 : 0);
+        EXPECT_EQ(complete, want) << "cut at " << cut;
+        EXPECT_EQ(off, want == 2 ? buf.size() : want * firstSize) << cut;
+    }
+
+    // A complete record carries its index and payload.
+    const auto first = driver::scanRecord(buf);
+    ASSERT_EQ(first.status, RecordStatus::Complete);
+    EXPECT_EQ(first.index, 2u);
+    EXPECT_EQ(first.size, firstSize);
+    SweepResult decoded;
+    driver::deserializeResultPayload(first.payload, decoded);
+    EXPECT_EQ(decoded.message, sampleResult().message);
+
+    // A flipped byte anywhere but the length field fails the checksum.
+    for (size_t pos = 0; pos < firstSize; pos++) {
+        if (pos >= 4 && pos < 8)
+            continue;
+        auto bad = buf;
+        bad[pos] ^= 0x01;
+        const auto rec = driver::scanRecord(bad);
+        EXPECT_EQ(rec.status, RecordStatus::Corrupt) << pos;
+        EXPECT_EQ(rec.error, JournalErrorKind::BadChecksum) << pos;
+    }
+
+    // A length past max_payload is corrupt as soon as it is read, even
+    // before the bytes it promises could have arrived.
+    auto huge = buf;
+    const uint32_t len = SweepJournal::max_payload + 1;
+    for (int i = 0; i < 4; i++)
+        huge[4 + i] = static_cast<uint8_t>(len >> (8 * i));
+    const auto rec = driver::scanRecord(huge);
+    EXPECT_EQ(rec.status, RecordStatus::Corrupt);
+    EXPECT_EQ(rec.error, JournalErrorKind::Inconsistent);
+}
+
+/** Append @p v to @p b as @p n little-endian bytes. */
+void
+appendLE(std::vector<uint8_t> &b, uint64_t v, int n)
+{
+    for (int i = 0; i < n; i++)
+        b.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+TEST(ProcPool, HandAssembledJournalLoadsAndResumes)
+{
+    // The on-disk layout, spelled out independently of the codec: a
+    // journal written this way must load, and a sweep must resume
+    // from it without rerunning the journaled cell.
+    auto cells = smallGrid();
+    const uint64_t fp = driver::gridFingerprint(cells);
+    SweepResult handMade = sampleResult();
+    handMade.message = "hand-made record";
+    const auto payload = driver::serializeResultPayload(handMade);
+
+    std::vector<uint8_t> journal = {
+        'C',  'S',  'W',  'J',  // magic
+        0x01, 0x00, 0x00, 0x00, // version 1
+    };
+    appendLE(journal, fp, 8);           // grid fingerprint
+    appendLE(journal, cells.size(), 8); // cell count
+    ASSERT_EQ(journal.size(), 24u);
+    const size_t recordStart = journal.size();
+    appendLE(journal, 1, 4);              // cell index
+    appendLE(journal, payload.size(), 4); // payload length
+    journal.insert(journal.end(), payload.begin(), payload.end());
+    appendLE(journal,
+             util::fnv1a64(journal.data() + recordStart,
+                           journal.size() - recordStart),
+             8); // FNV-1a over index, length and payload
+
+    const std::string path = tempPath("journal_by_hand.bin");
+    writeFile(path, journal);
+    {
+        SweepJournal j;
+        j.open(path, fp, cells.size());
+        ASSERT_EQ(j.loadedRecords().size(), 1u);
+        EXPECT_EQ(j.loadedRecords()[0].first, 1u);
+        EXPECT_EQ(j.loadedRecords()[0].second, payload);
+    }
+
+    SweepOptions opts;
+    opts.journalPath = path;
+    const auto results = driver::runCells(cells, opts);
+    EXPECT_EQ(results[1].outcome, CellOutcome::Trapped);
+    EXPECT_EQ(results[1].message, "hand-made record");
+    EXPECT_EQ(results[1].stats.cycles, 6789u);
+    for (size_t i : {size_t{0}, size_t{2}, size_t{3}})
+        EXPECT_TRUE(results[i].ok()) << results[i].message;
+
+    // The resumed sweep appended after the hand-made record.
+    const auto after = slurpFile(path);
+    ASSERT_GT(after.size(), journal.size());
+    EXPECT_TRUE(std::equal(journal.begin(), journal.end(), after.begin()));
+    SweepJournal reread;
+    reread.open(path, fp, cells.size());
+    EXPECT_EQ(reread.loadedRecords().size(), cells.size());
+    std::remove(path.c_str());
+}
+
+/** The error a test reader handler raises. */
+struct ShortRead
+{
+    std::string what;
+};
+
+void
+throwShortRead(const char *what, size_t, size_t)
+{
+    throw ShortRead{what};
+}
+
+TEST(ProcPool, ByteReaderRaisesTheCallersErrorKind)
+{
+    // "abc" as a putString() field, padded to cover every getter.
+    const std::vector<uint8_t> bytes = {3, 0, 0, 0, 'a', 'b', 'c', 0};
+    using Get = void (*)(util::ByteReader &);
+    const std::vector<std::pair<Get, size_t>> getters = {
+        {[](util::ByteReader &in) { in.u8("u8"); }, 1},
+        {[](util::ByteReader &in) { in.u16("u16"); }, 2},
+        {[](util::ByteReader &in) { in.u32("u32"); }, 4},
+        {[](util::ByteReader &in) { in.u64("u64"); }, 8},
+        {[](util::ByteReader &in) { in.string("string"); }, 7},
+        {[](util::ByteReader &in) { in.bytes(5, "bytes"); }, 5},
+    };
+    for (const auto &[get, need] : getters) {
+        for (size_t len = 0; len < need; len++) {
+            util::ByteReader in({bytes.data(), len}, throwShortRead);
+            EXPECT_THROW(get(in), ShortRead) << need << "/" << len;
+        }
+        util::ByteReader in({bytes.data(), need}, throwShortRead);
+        EXPECT_NO_THROW(get(in)) << need;
+        EXPECT_TRUE(in.done()) << need;
+    }
+
+    // Each format turns a short read into its own typed error: every
+    // proper prefix of a result payload and of a journal header...
+    const auto payload = driver::serializeResultPayload(sampleResult());
+    SweepResult scratch;
+    for (size_t len = 0; len < payload.size(); len++) {
+        try {
+            driver::deserializeResultPayload({payload.data(), len},
+                                             scratch);
+            ADD_FAILURE() << "payload prefix " << len << " accepted";
+        } catch (const JournalError &e) {
+            EXPECT_EQ(e.kind(), JournalErrorKind::Truncated) << len;
+        }
+    }
+    auto cells = smallGrid();
+    const uint64_t fp = driver::gridFingerprint(cells);
+    const std::string path = tempPath("journal_prefix.bin");
+    SweepJournal fresh;
+    fresh.openFresh(path, fp, cells.size());
+    const auto header = slurpFile(path);
+    ASSERT_EQ(header.size(), 24u);
+    for (size_t len = 1; len < header.size(); len++) {
+        writeFile(path, {header.begin(), header.begin() + len});
+        SweepJournal j;
+        EXPECT_EQ(openKind(j, path, fp, cells.size()),
+                  JournalErrorKind::Truncated)
+            << len;
+    }
+    std::remove(path.c_str());
+
+    // ...and of a packed-trace stream.
+    const auto trace =
+        driver::recordKernelTrace(crypto::CipherId::RC4,
+                                  KernelVariant::Optimized, 64)
+            .packedStream()
+            .serialize();
+    for (size_t len = 0; len < trace.size(); len++) {
+        try {
+            isa::PackedTrace::deserialize({trace.data(), len});
+            ADD_FAILURE() << "trace prefix " << len << " accepted";
+        } catch (const isa::TraceFormatError &e) {
+            EXPECT_EQ(e.kind(), isa::TraceErrorKind::Truncated) << len;
+        }
+    }
+}
+
+TEST(ProcPool, FailedJournalWriteLetsTheSweepFinish)
+{
+    // A journal that cannot grow (a full disk, here a file-size limit
+    // just past the header) costs the journal, not the sweep: every
+    // cell still finishes, in either isolation mode, and a later run
+    // resumes from what was written.
+    const auto cells = smallGrid();
+    const std::string want = benchJsonString(
+        driver::runCells(cells, SweepOptions{}), "unlimited");
+    for (auto isolation :
+         {driver::SweepIsolation::Thread, driver::SweepIsolation::Process}) {
+        SweepOptions opts;
+        opts.isolation = isolation;
+        opts.journalPath = tempPath("journal_full.bin");
+        std::remove(opts.journalPath.c_str());
+
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::signal(SIGXFSZ, SIG_IGN); // a failed write, not a signal
+            const rlimit limit{32, 32};
+            ::setrlimit(RLIMIT_FSIZE, &limit);
+            try {
+                for (const auto &r : driver::runCells(cells, opts))
+                    if (!r.ok())
+                        ::_exit(1);
+            } catch (...) {
+                ::_exit(2); // never back into the test runner
+            }
+            ::_exit(0);
+        }
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status))
+            << "sweep died on signal " << WTERMSIG(status);
+        EXPECT_EQ(WEXITSTATUS(status), 0);
+
+        EXPECT_EQ(benchJsonString(driver::runCells(cells, opts), "resumed"),
+                  want);
+        std::remove(opts.journalPath.c_str());
+    }
 }
 
 TEST(ProcPool, ChaosSpecParsing)

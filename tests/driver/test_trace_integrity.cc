@@ -115,7 +115,7 @@ TEST(TraceIntegrity, RejectsTruncation)
     // Every truncation length, from empty to one-byte-short, rejects
     // with a typed error (coarse steps keep the loop fast, the
     // boundary cases are explicit).
-    for (size_t keep : {size_t{0}, size_t{3}, size_t{55}, size_t{56},
+    for (size_t keep : {size_t{0}, size_t{3}, size_t{47}, size_t{48},
                         bytes.size() / 2, bytes.size() - 1}) {
         std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + keep);
         EXPECT_THROW(PackedTrace::deserialize(cut), TraceFormatError)
@@ -139,7 +139,7 @@ TEST(TraceIntegrity, RejectsPayloadCorruption)
 TEST(TraceIntegrity, RejectsChecksumFieldCorruption)
 {
     auto bytes = kernelStream();
-    bytes[48] ^= 0x01; // the stored checksum itself
+    bytes[40] ^= 0x01; // the stored checksum itself
     EXPECT_THROW(PackedTrace::deserialize(bytes), TraceFormatError);
 }
 

@@ -185,11 +185,11 @@ TEST(Trap, BulkAccessorTrapsWithoutExecutionContext)
 
 // --- trap reproducibility ---------------------------------------------
 
-/** Packed append with results kept, straight off emit(). */
-struct PackedKeepSink : TraceSink
+/** Packed append straight off emit(). */
+struct PackedSink : TraceSink
 {
     PackedTrace trace;
-    void emit(const DynInst &d) override { trace.append(d, true); }
+    void emit(const DynInst &d) override { trace.append(d); }
 };
 
 /**
@@ -202,7 +202,7 @@ struct PackedKeepSink : TraceSink
 Trap
 expectTrapParity(const Program &p, uint64_t fuel = 1ull << 20)
 {
-    PackedKeepSink packed;
+    PackedSink packed;
     CaptureSink raw;
 
     auto runOne = [&](TraceSink *sink) -> std::optional<Trap> {
@@ -236,7 +236,7 @@ expectTrapParity(const Program &p, uint64_t fuel = 1ull << 20)
     EXPECT_EQ(raw.insts.size(), ta->seq().value_or(~0ull));
     PackedTrace reencoded;
     for (const auto &d : raw.insts)
-        reencoded.append(d, true);
+        reencoded.append(d);
     EXPECT_EQ(packed.trace.serialize(), reencoded.serialize());
     return *ta;
 }
