@@ -18,7 +18,7 @@
 #include "bench/common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace cryptarch;
     using namespace cryptarch::bench;
@@ -41,7 +41,7 @@ main()
     spec.variants = {KernelVariant::BaselineRot, KernelVariant::Optimized,
                      KernelVariant::OptimizedGrp};
     spec.models = {MachineConfig::fourWide()};
-    auto results = driver::runSweep(spec);
+    auto results = driver::runSweep(spec, sweepOptions(argc, argv));
 
     std::printf("Ablation: 3DES permutation strategy "
                 "(4KB session, 4W machine).\n\n");

@@ -107,7 +107,7 @@ printSweep(const std::vector<driver::SweepResult> &results,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     std::vector<MachineConfig> sbox_cfgs, rot_cfgs, width_cfgs;
     for (unsigned c : sbox_counts)
@@ -131,7 +131,7 @@ main()
             cells.push_back({id, KernelVariant::Optimized, cfg,
                              session_bytes});
 
-    auto results = driver::runCells(cells);
+    auto results = driver::runCells(cells, sweepOptions(argc, argv));
 
     std::printf("Resource ablations for the optimized cipher kernels\n"
                 "====================================================\n\n");

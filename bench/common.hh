@@ -15,10 +15,13 @@
 #ifndef CRYPTARCH_BENCH_COMMON_HH
 #define CRYPTARCH_BENCH_COMMON_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/cipher.hh"
@@ -52,14 +55,6 @@ timeKernel(crypto::CipherId id, kernels::KernelVariant variant,
            const sim::MachineConfig &cfg, size_t bytes = session_bytes)
 {
     return driver::recordKernelTrace(id, variant, bytes).replay(cfg);
-}
-
-/** Dynamic instruction count of a kernel run (the 1-CPI machine). */
-inline uint64_t
-countInsts(crypto::CipherId id, kernels::KernelVariant variant,
-           size_t bytes = session_bytes)
-{
-    return driver::recordKernelTrace(id, variant, bytes).instructions();
 }
 
 /**
@@ -98,55 +93,55 @@ gridCell(bool ok, const char *fmt, double value)
 }
 
 /**
- * Crash-safety options from the environment plus the benches' shared
- * command line:
+ * The one parser of the sweep flags every sweep bench shares:
  *
- *   --isolate=thread|process   worker isolation (CRYPTARCH_SWEEP_ISOLATE)
- *   --journal=PATH             checkpoint journal (CRYPTARCH_SWEEP_JOURNAL)
- *   --deadline=SECONDS         per-cell watchdog (CRYPTARCH_SWEEP_DEADLINE)
- *   --threads=N                worker count
+ *   --isolate=thread|process   worker isolation
+ *   --journal=PATH             checkpoint journal
+ *   --deadline=SECONDS         per-cell watchdog (process isolation)
+ *   --threads=N                worker count (0 = every core)
  *
- * Flags win over the environment. Unknown arguments are ignored, so a
- * bench with its own flags (e.g. --quick) can share argv. Exits with a
- * usage message on a malformed known flag rather than silently running
- * the wrong configuration.
+ * Starts from @p defaults, and a flag overrides its field. No
+ * environment variable is consulted. Unknown arguments are ignored, so
+ * a bench with its own flags (e.g. --quick) can share argv. A
+ * malformed known flag exits 2 with a usage message rather than
+ * silently running the wrong configuration.
  */
 inline driver::SweepOptions
-sweepOptions(int argc, char **argv)
+sweepOptions(int argc, char **argv, driver::SweepOptions defaults = {})
 {
-    driver::SweepOptions opts = driver::sweepOptionsFromEnv();
+    driver::SweepOptions opts = std::move(defaults);
+    auto usage = [&](const char *what, const char *got) {
+        std::fprintf(stderr, "%s: %s, got '%s'\n", argv[0], what, got);
+        std::exit(2);
+    };
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--isolate=", 10) == 0) {
             const char *mode = arg + 10;
-            if (std::strcmp(mode, "thread") != 0
-                && std::strcmp(mode, "process") != 0) {
-                std::fprintf(stderr,
-                             "%s: --isolate takes 'thread' or 'process', "
-                             "got '%s'\n",
-                             argv[0], mode);
-                std::exit(2);
-            }
-            opts.isolation = driver::parseSweepIsolation(
-                mode, driver::SweepIsolation::Thread);
+            if (std::strcmp(mode, "thread") == 0)
+                opts.isolation = driver::SweepIsolation::Thread;
+            else if (std::strcmp(mode, "process") == 0)
+                opts.isolation = driver::SweepIsolation::Process;
+            else
+                usage("--isolate takes 'thread' or 'process'", mode);
         } else if (std::strncmp(arg, "--journal=", 10) == 0) {
             opts.journalPath = arg + 10;
-            if (opts.journalPath.empty()) {
-                std::fprintf(stderr, "%s: --journal needs a path\n",
-                             argv[0]);
-                std::exit(2);
-            }
+            if (opts.journalPath.empty())
+                usage("--journal needs a path", "");
         } else if (std::strncmp(arg, "--deadline=", 11) == 0) {
-            opts.cellDeadlineSeconds = std::atof(arg + 11);
-            if (opts.cellDeadlineSeconds <= 0) {
-                std::fprintf(stderr,
-                             "%s: --deadline needs positive seconds\n",
-                             argv[0]);
-                std::exit(2);
-            }
+            const char *seconds = arg + 11;
+            char *end = nullptr;
+            opts.cellDeadlineSeconds = std::strtod(seconds, &end);
+            if (end == seconds || *end != '\0'
+                || !std::isfinite(opts.cellDeadlineSeconds)
+                || opts.cellDeadlineSeconds <= 0)
+                usage("--deadline needs positive seconds", seconds);
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            opts.threads = static_cast<unsigned>(
-                std::strtoul(arg + 10, nullptr, 10));
+            const char *count = arg + 10;
+            const char *end = count + std::strlen(count);
+            auto [stop, ec] = std::from_chars(count, end, opts.threads);
+            if (ec != std::errc{} || stop != end)
+                usage("--threads needs a whole number", count);
         }
     }
     return opts;

@@ -282,31 +282,28 @@ main(int argc, char **argv)
 
     bool quick = false;
     uint64_t seed = 0xC0F12;
-    bool isolationGiven = false;
     for (int i = 1; i < argc; i++) {
         if (!std::strcmp(argv[i], "--quick"))
             quick = true;
         else if (!std::strncmp(argv[i], "--seed=", 7))
             seed = std::strtoull(argv[i] + 7, nullptr, 0);
-        else if (!std::strncmp(argv[i], "--isolate=", 10))
-            isolationGiven = true;
     }
 
-    // The fuzz sweeps must not inherit an outer journal or a tightened
-    // progress budget; isolation/deadline stay overridable.
-    ::unsetenv("CRYPTARCH_SWEEP_JOURNAL");
+    // The fuzz sweeps must not inherit an outer chaos hook or a
+    // tightened progress budget.
     ::unsetenv("CRYPTARCH_SWEEP_CHAOS");
     sim::setProgressBudgetOverride(0);
 
-    SweepOptions opts = sweepOptions(argc, argv);
-    if (!isolationGiven && !std::getenv("CRYPTARCH_SWEEP_ISOLATE"))
-        opts.isolation = driver::SweepIsolation::Process;
-    if (opts.cellDeadlineSeconds <= 0) {
-        // Pure backstop: with the watchdog working no cell comes near
-        // it, and a cell that does is reaped as `timed_out` — which no
-        // stratum expects, so a hang can never pass.
-        opts.cellDeadlineSeconds = 120;
-    }
+    // Process isolation by default, and a pure-backstop deadline: with
+    // the watchdog working no cell comes near it, and a cell that does
+    // is reaped as `timed_out` — which no stratum expects, so a hang
+    // can never pass. Both stay overridable by flag.
+    SweepOptions defaults;
+    defaults.isolation = driver::SweepIsolation::Process;
+    defaults.cellDeadlineSeconds = 120;
+    SweepOptions opts = sweepOptions(argc, argv, defaults);
+    // A journal is bound to one grid and each stratum is its own grid,
+    // so one path would be rejected and rewritten stratum by stratum.
     opts.journalPath.clear();
 
     const size_t sessionBytes = 512;

@@ -29,7 +29,7 @@
 #include "sim/stall.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace cryptarch;
     using namespace cryptarch::bench;
@@ -52,7 +52,7 @@ main()
                    MachineConfig::dfPlusResources(),
                    MachineConfig::dfPlusWindow(),
                    MachineConfig::fourWide()};
-    auto results = driver::runSweep(spec);
+    auto results = driver::runSweep(spec, sweepOptions(argc, argv));
 
     std::printf("Figure 5. Analysis of Bottlenecks in Cipher Kernels\n"
                 "(performance relative to the dataflow machine; "

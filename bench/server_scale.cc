@@ -26,10 +26,12 @@
  * SimStats — plus a "server" extras object per row, the same
  * extension mechanism simspeed uses).
  *
- * Usage: server_scale [--quick] [--sessions N] [--threads N]
+ * Usage: server_scale [--quick] [--sessions N] [common sweep flags]
  *   --quick      CI smoke mode: fewer cells, 50k sessions.
  *   --sessions N population size per cell (overrides mode default).
- *   --threads N  worker threads for kernel sweep and simulations.
+ *   --threads=N  worker threads for kernel sweep and simulations.
+ * The kernel sweep also takes --isolate/--journal/--deadline
+ * (bench/common.hh sweepOptions).
  */
 
 #include <cstdio>
@@ -70,16 +72,13 @@ main(int argc, char **argv)
 
     bool quick = false;
     uint64_t sessions_override = 0;
-    unsigned threads = 0;
     for (int i = 1; i < argc; i++) {
         if (!std::strcmp(argv[i], "--quick"))
             quick = true;
         else if (!std::strcmp(argv[i], "--sessions") && i + 1 < argc)
             sessions_override = std::strtoull(argv[++i], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
-            threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
     }
+    const driver::SweepOptions opts = sweepOptions(argc, argv);
 
     // The paper's default bulk cipher (3DES), the fast stream cipher
     // (RC4), and the key-agility outlier (Blowfish, Figure 6).
@@ -130,7 +129,7 @@ main(int argc, char **argv)
             for (size_t bytes : {probe_lo, probe_hi})
                 cells.push_back({id, kernels::KernelVariant::BaselineRot,
                                  model, bytes});
-    auto kernel_results = driver::runCells(cells, threads);
+    auto kernel_results = driver::runCells(cells, opts);
 
     std::vector<driver::SweepResult> rows;
     std::vector<ssl::ServerRates> rates;
@@ -168,7 +167,7 @@ main(int argc, char **argv)
     }
 
     // --- the simulations themselves (deterministic for any count) ---
-    auto sims = ssl::runServerSims(rates, params, threads);
+    auto sims = ssl::runServerSims(rates, params, opts.threads);
 
     std::vector<std::string> extras(rows.size());
     for (size_t i = 0; i < rates.size(); i++) {

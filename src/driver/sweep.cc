@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -13,7 +11,6 @@
 #include "driver/procpool.hh"
 #include "isa/trap.hh"
 #include "sim/validate.hh"
-#include "util/env.hh"
 #include "verify/oracle.hh"
 
 namespace cryptarch::driver
@@ -33,38 +30,6 @@ cellOutcomeName(CellOutcome outcome)
       case CellOutcome::Stalled: return "stalled";
     }
     return "?";
-}
-
-SweepIsolation
-parseSweepIsolation(std::string_view name, SweepIsolation dflt)
-{
-    if (name == "thread")
-        return SweepIsolation::Thread;
-    if (name == "process")
-        return SweepIsolation::Process;
-    // Anything unrecognized: the caller's safe default.
-    return dflt;
-}
-
-SweepOptions
-sweepOptionsFromEnv()
-{
-    // Centralized parsing (util/env.hh): an unrecognized value keeps
-    // the safe default AND emits one typed warning naming the accepted
-    // values, instead of the historical silent fallback.
-    SweepOptions opts;
-    opts.isolation = static_cast<SweepIsolation>(util::envChoice(
-        "CRYPTARCH_SWEEP_ISOLATE",
-        {{"thread", static_cast<int>(SweepIsolation::Thread)},
-         {"process", static_cast<int>(SweepIsolation::Process)}},
-        static_cast<int>(SweepIsolation::Thread)));
-    if (const char *env = std::getenv("CRYPTARCH_SWEEP_JOURNAL"))
-        opts.journalPath = env;
-    opts.cellDeadlineSeconds =
-        util::envDouble("CRYPTARCH_SWEEP_DEADLINE", 0);
-    opts.respawnBudget = static_cast<unsigned>(
-        util::envU64("CRYPTARCH_SWEEP_RESPAWNS", opts.respawnBudget));
-    return opts;
 }
 
 namespace detail
@@ -337,15 +302,6 @@ runCells(const std::vector<SweepCell> &cells, const SweepOptions &options)
 }
 
 std::vector<SweepResult>
-runCells(const std::vector<SweepCell> &cells, unsigned threads)
-{
-    SweepOptions options = sweepOptionsFromEnv();
-    if (threads)
-        options.threads = threads;
-    return runCells(cells, options);
-}
-
-std::vector<SweepResult>
 runSweep(const SweepSpec &spec, const SweepOptions &options)
 {
     std::vector<SweepCell> cells;
@@ -356,12 +312,6 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
             for (const auto &model : spec.models)
                 cells.push_back({cipher, variant, model, spec.bytes});
     return runCells(cells, options);
-}
-
-std::vector<SweepResult>
-runSweep(const SweepSpec &spec)
-{
-    return runSweep(spec, sweepOptionsFromEnv());
 }
 
 const SweepResult &

@@ -16,9 +16,13 @@
  * cell its real timing. Bench drivers render partial grids with the
  * failed cells marked and exit nonzero.
  *
- * Execution is isolation-selectable (SweepOptions / the
- * CRYPTARCH_SWEEP_* environment): the default Thread mode runs cells
- * on an in-process pool exactly as before, while Process mode forks
+ * Execution is isolation-selectable through SweepOptions, which every
+ * caller passes explicitly (benches parse it from their command line,
+ * bench/common.hh sweepOptions); the driver reads no environment
+ * variable for it. The one CRYPTARCH_SWEEP_* variable left is the
+ * chaos harness's fault hook, CRYPTARCH_SWEEP_CHAOS, read inside
+ * forked workers (procpool.hh). The default Thread mode runs cells
+ * on an in-process pool, while Process mode forks
  * POSIX worker processes that claim group-aligned cell batches over a
  * pipe protocol and stream back checksummed journal records
  * (src/driver/procpool.hh). Process mode survives host-level faults
@@ -109,9 +113,9 @@ enum class SweepIsolation : uint8_t
 };
 
 /**
- * Crash-safety knobs for runCells/runSweep. Defaults reproduce the
- * historical thread-pool behavior exactly; sweepOptionsFromEnv() is
- * the bench-facing way to opt in without new plumbing.
+ * Crash-safety settings for runCells/runSweep, always passed
+ * explicitly: no field is read from the environment. The defaults run
+ * an unjournaled thread pool on every core.
  */
 struct SweepOptions
 {
@@ -142,20 +146,6 @@ struct SweepOptions
 /** Default watchdog deadline when SweepOptions leaves it unset. */
 constexpr double default_cell_deadline_seconds = 300.0;
 
-/**
- * Sweep options from the environment: CRYPTARCH_SWEEP_ISOLATE
- * ("thread" | "process"; anything else keeps the thread default),
- * CRYPTARCH_SWEEP_JOURNAL (path), CRYPTARCH_SWEEP_DEADLINE (seconds),
- * CRYPTARCH_SWEEP_RESPAWNS (count). The plain runCells/runSweep
- * entry points start from these, so every existing bench is
- * crash-isolatable without touching its command line.
- */
-SweepOptions sweepOptionsFromEnv();
-
-/** Parse an isolation name; unrecognized values return @p dflt. */
-SweepIsolation parseSweepIsolation(std::string_view name,
-                                   SweepIsolation dflt);
-
 /** A dense grid: every cipher x every variant x every model. */
 struct SweepSpec
 {
@@ -178,26 +168,18 @@ struct SweepSpec
  * while building its result) marks that cell Error instead of
  * terminating the sweep. Never throws for per-cell failures.
  *
- * Isolation, watchdog, and journal policy come from
- * sweepOptionsFromEnv(); @p threads, when nonzero, overrides the
- * worker count. The SweepOptions overload takes full control.
+ * Isolation, worker count, watchdog, and journal come from
+ * @p options alone.
  */
 std::vector<SweepResult> runCells(const std::vector<SweepCell> &cells,
-                                  unsigned threads = 0);
-
-/** As above with explicit crash-safety options. */
-std::vector<SweepResult> runCells(const std::vector<SweepCell> &cells,
-                                  const SweepOptions &options);
+                                  const SweepOptions &options = {});
 
 /**
  * Execute the dense grid of @p spec. Results are ordered cipher-major,
  * then variant, then model: index = (ci * #variants + vi) * #models + mi.
  */
-std::vector<SweepResult> runSweep(const SweepSpec &spec);
-
-/** As above with explicit crash-safety options. */
 std::vector<SweepResult> runSweep(const SweepSpec &spec,
-                                  const SweepOptions &options);
+                                  const SweepOptions &options = {});
 
 /**
  * First result matching (cipher, variant, model name). Throws

@@ -85,7 +85,6 @@ class TraceSink
 struct RunStats
 {
     uint64_t instructions = 0;
-    uint64_t cyclesHint = 0; ///< unused by the machine; for sinks
 };
 
 /**
@@ -132,19 +131,15 @@ class Machine
         faults.push_back(fault);
     }
 
-    /**
-     * When strict SBOX semantics are enabled (the default), non-aliased
-     * SBOX reads observe a snapshot of their table taken at the first
-     * access after the last SBOXSYNC — the paper's visibility rule.
-     * Disabling makes SBOX read live memory.
-     */
-    void setStrictSboxSync(bool strict) { strictSbox = strict; }
-
   private:
     uint64_t loadSized(uint64_t addr, unsigned size) const;
     void storeSized(uint64_t addr, unsigned size, uint64_t value);
     void checkAddr(uint64_t addr, unsigned size, bool isStore) const;
-    /** Non-aliased SBOX read honoring snapshot visibility. */
+    /**
+     * Non-aliased SBOX read: it observes a snapshot of its table taken
+     * at the first access after the last SBOXSYNC (the paper's
+     * visibility rule).
+     */
     uint32_t sboxRead(uint64_t addr);
     /** Apply scheduled faults due at dynamic sequence number @p seq. */
     void applyFaults(uint64_t seq);
@@ -152,7 +147,6 @@ class Machine
     std::array<uint64_t, num_regs> regs{};
     std::vector<uint8_t> mem;
 
-    bool strictSbox = true;
     /** Snapshots of 1 KB table frames, keyed by frame base address. */
     std::map<uint64_t, std::vector<uint8_t>> sboxSnapshots;
 

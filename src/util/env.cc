@@ -7,6 +7,7 @@
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <string>
 
 namespace cryptarch::util
 {
@@ -30,7 +31,7 @@ warnedVars()
  * not turn one typo into thousands of stderr lines.
  */
 void
-warnOnce(const char *var, const char *got, const std::string &accepted)
+warnOnce(const char *var, const char *got, const char *accepted)
 {
     {
         std::lock_guard<std::mutex> lock(warned_mutex);
@@ -41,36 +42,10 @@ warnOnce(const char *var, const char *got, const std::string &accepted)
     std::fprintf(stderr,
                  "cryptarch: ignoring unrecognized %s='%s' (accepted: "
                  "%s); using the default\n",
-                 var, got, accepted.c_str());
+                 var, got, accepted);
 }
 
 } // namespace
-
-std::string
-describeEnvChoices(std::initializer_list<EnvChoice> choices)
-{
-    std::string out;
-    for (const auto &c : choices) {
-        if (!out.empty())
-            out += ", ";
-        out += c.name;
-    }
-    return out;
-}
-
-int
-envChoice(const char *var, std::initializer_list<EnvChoice> choices,
-          int dflt)
-{
-    const char *env = std::getenv(var);
-    if (!env)
-        return dflt;
-    for (const auto &c : choices)
-        if (std::strcmp(env, c.name) == 0)
-            return c.value;
-    warnOnce(var, env, describeEnvChoices(choices));
-    return dflt;
-}
 
 bool
 envFlag(const char *var, bool dflt)
@@ -104,22 +79,6 @@ envU64(const char *var, uint64_t dflt)
         return dflt;
     }
     return static_cast<uint64_t>(v);
-}
-
-double
-envDouble(const char *var, double dflt)
-{
-    const char *env = std::getenv(var);
-    if (!env)
-        return dflt;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(env, &end);
-    if (errno != 0 || end == env || *end != '\0' || v < 0) {
-        warnOnce(var, env, "a non-negative decimal number");
-        return dflt;
-    }
-    return v;
 }
 
 uint64_t

@@ -7,36 +7,19 @@
  * default is used AND one typed warning line naming the variable, the
  * rejected value and the accepted values is emitted to stderr — once
  * per variable per process, so a sweep spawning thousands of cells
- * cannot flood the log. Historically each call site parsed its
- * variable ad hoc and fell back silently (CRYPTARCH_SWEEP_ISOLATE=typo
- * quietly meant "thread"), which is exactly the class of config mistake
- * this repo's hardening layer exists to surface.
+ * cannot flood the log. A typo that quietly meant the default is
+ * exactly the class of config mistake this repo's hardening layer
+ * exists to surface. Sweep settings are not environment knobs: they
+ * arrive as explicit driver::SweepOptions (driver/sweep.hh).
  */
 
 #ifndef CRYPTARCH_UTIL_ENV_HH
 #define CRYPTARCH_UTIL_ENV_HH
 
 #include <cstdint>
-#include <initializer_list>
-#include <string>
 
 namespace cryptarch::util
 {
-
-/** One accepted spelling of an enumerated environment value. */
-struct EnvChoice
-{
-    const char *name;
-    int value;
-};
-
-/**
- * Parse @p var as one of @p choices. Unset returns @p dflt; a value
- * matching a choice name returns that choice's value; anything else
- * warns (once per variable) and returns @p dflt.
- */
-int envChoice(const char *var, std::initializer_list<EnvChoice> choices,
-              int dflt);
 
 /**
  * Parse @p var as a boolean flag: "1"/"on"/"true"/"yes" are true,
@@ -50,20 +33,6 @@ bool envFlag(const char *var, bool dflt);
  * trailing garbage or overflow warns (once) and returns @p dflt.
  */
 uint64_t envU64(const char *var, uint64_t dflt);
-
-/**
- * Parse @p var as a non-negative decimal number (seconds-style knobs).
- * Unset returns @p dflt; malformed or negative values warn (once) and
- * return @p dflt.
- */
-double envDouble(const char *var, double dflt);
-
-/**
- * The "accepted: ..." clause the warning prints for @p choices —
- * exposed so tests can assert the message contract without scraping
- * stderr.
- */
-std::string describeEnvChoices(std::initializer_list<EnvChoice> choices);
 
 /**
  * Process-wide count of unrecognized-value warnings emitted. Tests

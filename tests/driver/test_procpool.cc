@@ -736,27 +736,27 @@ TEST(ProcPool, ChaosSpecParsing)
               driver::ChaosAction::None);
 }
 
-TEST(ProcPool, SweepOptionsFromEnvironment)
+TEST(Driver, RunCellsReadsNoEnvironment)
 {
+    // Sweep settings arrive only as SweepOptions: an outer shell that
+    // still exports the retired variables must not switch a default
+    // sweep to process isolation or make it journal.
+    const std::string journal = tempPath("env_leak.journal");
+    std::remove(journal.c_str());
     ::setenv("CRYPTARCH_SWEEP_ISOLATE", "process", 1);
-    ::setenv("CRYPTARCH_SWEEP_JOURNAL", "/tmp/j.bin", 1);
-    ::setenv("CRYPTARCH_SWEEP_DEADLINE", "12.5", 1);
-    ::setenv("CRYPTARCH_SWEEP_RESPAWNS", "3", 1);
-    auto opts = driver::sweepOptionsFromEnv();
-    EXPECT_EQ(opts.isolation, driver::SweepIsolation::Process);
-    EXPECT_EQ(opts.journalPath, "/tmp/j.bin");
-    EXPECT_DOUBLE_EQ(opts.cellDeadlineSeconds, 12.5);
-    EXPECT_EQ(opts.respawnBudget, 3u);
-
-    // Unrecognized isolation names keep the safe default.
-    ::setenv("CRYPTARCH_SWEEP_ISOLATE", "container", 1);
-    EXPECT_EQ(driver::sweepOptionsFromEnv().isolation,
-              driver::SweepIsolation::Thread);
-
+    ::setenv("CRYPTARCH_SWEEP_JOURNAL", journal.c_str(), 1);
+    const auto results = driver::runCells(smallGrid());
     ::unsetenv("CRYPTARCH_SWEEP_ISOLATE");
     ::unsetenv("CRYPTARCH_SWEEP_JOURNAL");
-    ::unsetenv("CRYPTARCH_SWEEP_DEADLINE");
-    ::unsetenv("CRYPTARCH_SWEEP_RESPAWNS");
+
+    ASSERT_EQ(results.size(), smallGrid().size());
+    for (const auto &r : results) {
+        EXPECT_TRUE(r.ok()) << r.message;
+        EXPECT_EQ(r.worker, -1);
+    }
+    EXPECT_FALSE(std::ifstream(journal).good())
+        << "runCells wrote a journal named by the environment";
+    std::remove(journal.c_str());
 }
 
 } // namespace

@@ -29,51 +29,21 @@ class EnvGuard
     const char *var_;
 };
 
-TEST(Env, ChoiceParsesAcceptedValuesAndDefaultsWhenUnset)
-{
-    ::unsetenv("CRYPTARCH_TEST_CHOICE");
-    EXPECT_EQ(util::envChoice("CRYPTARCH_TEST_CHOICE",
-                              {{"alpha", 1}, {"beta", 2}}, 7),
-              7);
-    {
-        EnvGuard g("CRYPTARCH_TEST_CHOICE", "alpha");
-        EXPECT_EQ(util::envChoice("CRYPTARCH_TEST_CHOICE",
-                                  {{"alpha", 1}, {"beta", 2}}, 7),
-                  1);
-    }
-    {
-        EnvGuard g("CRYPTARCH_TEST_CHOICE", "beta");
-        EXPECT_EQ(util::envChoice("CRYPTARCH_TEST_CHOICE",
-                                  {{"alpha", 1}, {"beta", 2}}, 7),
-                  2);
-    }
-}
-
-TEST(Env, UnrecognizedChoiceWarnsOncePerVariable)
+TEST(Env, UnrecognizedValueWarnsOncePerVariable)
 {
     util::resetEnvWarningsForTesting();
     EnvGuard g("CRYPTARCH_TEST_WARN", "typo");
     const uint64_t before = util::envWarningCount();
-    EXPECT_EQ(util::envChoice("CRYPTARCH_TEST_WARN",
-                              {{"alpha", 1}, {"beta", 2}}, 7),
-              7);
+    EXPECT_EQ(util::envU64("CRYPTARCH_TEST_WARN", 7), 7u);
     EXPECT_EQ(util::envWarningCount(), before + 1);
     // Re-reading the same broken variable must not warn again — a
     // sweep re-reads policy per cell and one typo is one line.
-    EXPECT_EQ(util::envChoice("CRYPTARCH_TEST_WARN",
-                              {{"alpha", 1}, {"beta", 2}}, 7),
-              7);
+    EXPECT_EQ(util::envU64("CRYPTARCH_TEST_WARN", 7), 7u);
     EXPECT_EQ(util::envWarningCount(), before + 1);
     // A different variable warns independently.
     EnvGuard g2("CRYPTARCH_TEST_WARN2", "also-bad");
     EXPECT_FALSE(util::envFlag("CRYPTARCH_TEST_WARN2", false));
     EXPECT_EQ(util::envWarningCount(), before + 2);
-}
-
-TEST(Env, WarningListsAcceptedValues)
-{
-    EXPECT_EQ(util::describeEnvChoices({{"thread", 0}, {"process", 1}}),
-              "thread, process");
 }
 
 TEST(Env, FlagParsesAllSpellings)
@@ -114,23 +84,6 @@ TEST(Env, U64ParsesAndRejectsGarbage)
     {
         EnvGuard g("CRYPTARCH_TEST_U64", "12abc");
         EXPECT_EQ(util::envU64("CRYPTARCH_TEST_U64", 42), 42u);
-    }
-    EXPECT_EQ(util::envWarningCount(), before + 1);
-}
-
-TEST(Env, DoubleParsesAndRejectsNegative)
-{
-    ::unsetenv("CRYPTARCH_TEST_DBL");
-    EXPECT_DOUBLE_EQ(util::envDouble("CRYPTARCH_TEST_DBL", 1.5), 1.5);
-    {
-        EnvGuard g("CRYPTARCH_TEST_DBL", "12.5");
-        EXPECT_DOUBLE_EQ(util::envDouble("CRYPTARCH_TEST_DBL", 1.5), 12.5);
-    }
-    util::resetEnvWarningsForTesting();
-    const uint64_t before = util::envWarningCount();
-    {
-        EnvGuard g("CRYPTARCH_TEST_DBL", "-3");
-        EXPECT_DOUBLE_EQ(util::envDouble("CRYPTARCH_TEST_DBL", 1.5), 1.5);
     }
     EXPECT_EQ(util::envWarningCount(), before + 1);
 }
