@@ -14,6 +14,7 @@
  * parallel. Stats: BENCH_ablation_resources.json.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -68,7 +69,9 @@ widthConfig(unsigned w)
     cfg.fetchBlocksPerCycle = (w + 3) / 4;
     cfg.numIntAlu = w;
     cfg.numRotUnits = w;
-    cfg.mulHalfSlots = w / 2;
+    // One 64-bit multiplier (two half slots) at least: admission
+    // rejects a pool that cannot issue a 64-bit multiply.
+    cfg.mulHalfSlots = std::max(2u, w / 2);
     cfg.numDCachePorts = (w + 1) / 2;
     cfg.windowSize = 32 * w;
     cfg.name = std::to_string(w) + "-wide";

@@ -16,7 +16,9 @@
 #define CRYPTARCH_BENCH_COMMON_HH
 
 #include <charconv>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,6 +95,39 @@ gridCell(bool ok, const char *fmt, double value)
 }
 
 /**
+ * The value @p value of a numeric flag @p flag, as a whole number in
+ * [@p min, @p max]: decimal, or hexadecimal with a 0x prefix. Anything
+ * else (empty, a sign, trailing characters, out of range) exits 2 with
+ * a usage message naming the flag, so a typo never runs the default.
+ * sweepOptions and every bench's own numeric flags parse through here.
+ */
+inline uint64_t
+wholeNumberFlag(const char *argv0, const char *flag, const char *value,
+                uint64_t min = 0, uint64_t max = UINT64_MAX)
+{
+    const char *begin = value;
+    const char *end = value + std::strlen(value);
+    int base = 10;
+    if (end - begin > 2 && begin[0] == '0'
+        && (begin[1] == 'x' || begin[1] == 'X')) {
+        begin += 2;
+        base = 16;
+    }
+    uint64_t v = 0;
+    auto [stop, ec] = std::from_chars(begin, end, v, base);
+    if (ec != std::errc{} || stop != end || v < min || v > max) {
+        std::fprintf(stderr, "%s: %s needs a whole number", argv0, flag);
+        if (min > 0 || max < UINT64_MAX)
+            std::fprintf(stderr, " in [%llu, %llu]",
+                         static_cast<unsigned long long>(min),
+                         static_cast<unsigned long long>(max));
+        std::fprintf(stderr, ", got '%s'\n", value);
+        std::exit(2);
+    }
+    return v;
+}
+
+/**
  * The one parser of the sweep flags every sweep bench shares:
  *
  *   --isolate=thread|process   worker isolation
@@ -137,11 +172,8 @@ sweepOptions(int argc, char **argv, driver::SweepOptions defaults = {})
                 || opts.cellDeadlineSeconds <= 0)
                 usage("--deadline needs positive seconds", seconds);
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            const char *count = arg + 10;
-            const char *end = count + std::strlen(count);
-            auto [stop, ec] = std::from_chars(count, end, opts.threads);
-            if (ec != std::errc{} || stop != end)
-                usage("--threads needs a whole number", count);
+            opts.threads = static_cast<unsigned>(wholeNumberFlag(
+                argv[0], "--threads", arg + 10, 0, UINT_MAX));
         }
     }
     return opts;

@@ -286,7 +286,7 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--quick"))
             quick = true;
         else if (!std::strncmp(argv[i], "--seed=", 7))
-            seed = std::strtoull(argv[i] + 7, nullptr, 0);
+            seed = wholeNumberFlag(argv[0], "--seed", argv[i] + 7);
     }
 
     // The fuzz sweeps must not inherit an outer chaos hook or a

@@ -75,8 +75,9 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; i++) {
         if (!std::strcmp(argv[i], "--quick"))
             quick = true;
-        else if (!std::strcmp(argv[i], "--sessions") && i + 1 < argc)
-            sessions_override = std::strtoull(argv[++i], nullptr, 10);
+        else if (!std::strcmp(argv[i], "--sessions"))
+            sessions_override = wholeNumberFlag(
+                argv[0], "--sessions", i + 1 < argc ? argv[++i] : "", 1);
     }
     const driver::SweepOptions opts = sweepOptions(argc, argv);
 

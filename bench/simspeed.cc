@@ -106,9 +106,9 @@ main(int argc, char **argv)
                 "record-ms", "trace-bytes");
 
     for (auto id : ciphers) {
-        // The untimed warm-up seeds the driver's reserve estimate, so
-        // the timed recording appends into a pre-sized trace — the
-        // state every sweep after a kernel's first session records in.
+        // An untimed warm-up recording first, so the timed one sees
+        // warm caches and allocator state, as every recording after a
+        // process's first does.
         driver::recordKernelTrace(id, variant, driver::session_bytes,
                                   kernels::KernelDirection::Encrypt);
         driver::RecordTiming timing = {};

@@ -15,7 +15,7 @@ using util::store32be;
 namespace
 {
 
-/** 18 P words + 4*256 S words of pi, computed once per process. */
+/** 18 P words + 4*256 S words of pi, copied once per process. */
 const std::vector<uint32_t> &
 piInit()
 {

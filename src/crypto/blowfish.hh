@@ -7,8 +7,8 @@
  * 256-entry S-boxes — the work of encrypting ~8 KB of payload — so setup
  * only amortizes below 10% for sessions longer than 64 KB.
  *
- * The initialization constants are the hexadecimal digits of pi,
- * regenerated at first use by util::piFractionWords (see DESIGN.md).
+ * The initialization constants are the hexadecimal digits of pi, read
+ * from the committed table behind util::piFractionWords (see DESIGN.md).
  */
 
 #ifndef CRYPTARCH_CRYPTO_BLOWFISH_HH

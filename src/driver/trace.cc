@@ -2,9 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <tuple>
 
 #include "verify/oracle.hh"
 
@@ -15,17 +12,6 @@ namespace
 {
 
 std::atomic<uint64_t> functional_runs{0};
-
-/**
- * First-session instruction-count estimates, keyed by
- * (cipher, variant, direction) — decrypt kernels of the same cipher
- * can differ in dynamic length (extra chaining loads), so direction
- * is part of the key. A kernel's dynamic length is linear in its
- * session bytes, so one observation sizes every later recording's
- * reserve() and the packed columns never regrow mid-record.
- */
-std::mutex estimate_mutex;
-std::map<std::tuple<int, int, int>, double> insts_per_byte;
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -75,18 +61,7 @@ recordKernelTrace(crypto::CipherId cipher, kernels::KernelVariant variant,
                                       direction);
     const std::vector<uint8_t> image = kernels::toWordImage(cipher, input);
 
-    const auto key = std::make_tuple(static_cast<int>(cipher),
-                                     static_cast<int>(variant),
-                                     static_cast<int>(direction));
     RecordedTrace trace;
-    {
-        std::lock_guard<std::mutex> lock(estimate_mutex);
-        auto it = insts_per_byte.find(key);
-        if (it != insts_per_byte.end())
-            trace.reserveInsts(static_cast<size_t>(it->second * bytes)
-                               + 64);
-    }
-
     isa::Machine m;
     build.install(m, image);
     const double setup_seconds = secondsSince(t_setup);
@@ -99,12 +74,6 @@ recordKernelTrace(crypto::CipherId cipher, kernels::KernelVariant variant,
     const auto t_verify = std::chrono::steady_clock::now();
     verify::verifyKernelOutput(build, m, w.key, w.iv, input, direction);
     const double verify_seconds = secondsSince(t_verify);
-
-    if (bytes > 0) {
-        std::lock_guard<std::mutex> lock(estimate_mutex);
-        insts_per_byte[key] =
-            static_cast<double>(trace.instructions()) / bytes;
-    }
 
     if (timing) {
         *timing = RecordTiming{};

@@ -13,8 +13,9 @@
  * structure SimpleScalar-style studies exploit.
  *
  * Every stream is recorded by the reference interpreter (isa::Machine)
- * and stored as a PackedTrace (14 B/inst, see isa/packed_trace.hh);
- * replay decodes it on the fly.
+ * and stored as a PackedTrace (a static table per pc plus one address
+ * per memory access and one bit per conditional branch, 1.3 B/inst;
+ * see isa/packed_trace.hh); replay walks it on the fly.
  */
 
 #ifndef CRYPTARCH_DRIVER_TRACE_HH
@@ -119,13 +120,11 @@ class RecordedTrace : public isa::TraceSink, public RemovedTraceAccessors
     bool empty() const { return packed.empty(); }
 
     /**
-     * Bytes held by the packed columns + side tables. This is what
-     * BENCH_simspeed.json reports — measured, never extrapolated.
+     * Bytes held by the static table, address column and branch bits.
+     * This is what BENCH_simspeed.json reports — measured, never
+     * extrapolated.
      */
     size_t storedBytes() const { return packed.packedBytes(); }
-
-    /** Pre-size the packed encoding for an expected instruction count. */
-    void reserveInsts(size_t n) { packed.reserve(n); }
 
     /** The stored stream. */
     const PackedTrace &packedStream() const { return packed; }

@@ -1,59 +1,54 @@
 /**
  * @file
- * Compact encoding of a dynamic instruction stream.
+ * Program-shaped encoding of a dynamic instruction stream.
  *
- * A trace replayed across a model grid is read once per timing model,
- * so replay throughput is bounded by how many bytes per instruction
- * stream through the cache hierarchy. A full DynInst is 56 bytes;
- * PackedTrace stores the same information in 14 fixed bytes per
- * instruction plus small side tables, and decodes back to DynInst on
- * the fly during replay:
+ * Almost everything a DynInst carries is fixed by the instruction at
+ * its pc: opcode, class, registers, access size, table id, the aliased
+ * flag, and where control goes next. Only two facts vary from one
+ * execution of a pc to the next: the effective address of a memory or
+ * SBOX access, and the outcome of a conditional branch. PackedTrace
+ * therefore stores
  *
- *   fixed record (14 B/inst, interleaved)
- *     pc        u32   static instruction index
- *     op, cls   u8+u8
- *     dest      u8
- *     addrSrc   u8
- *     tableId   u8
- *     srcs      3xu8  source registers (always three slots)
- *     flags     u16   see flag bits below
+ *   static table   one StaticInst per pc (indexed by pc, filled on
+ *                  the first visit): the static DynInst fields plus
+ *                  the successor rule, a fall-through pc and a target
+ *                  for taken branches
+ *   address column one u32 per instruction that loads or stores
+ *                  (SBOX lookups included)
+ *   branch bits    one bit per conditional branch (every branch but
+ *                  Br), 1 = taken
  *
- *   The fixed fields are interleaved as one 14-byte record per
- *   instruction (offsets above, little-endian) rather than stored as
- *   separate columns: recording appends one contiguous record per
- *   instruction and replay decodes one, so both directions touch a
- *   single sequential stream instead of eight. serialize() writes the
- *   records as they are stored.
+ * and replays by walking pc = nextPc from the first instruction's pc
+ * for size() instructions, rebuilding each DynInst from its table entry
+ * and attaching the next address and taken bit where the entry calls
+ * for them. The 80 catalog kernels at 4 KB take 0.46-3.04 B/inst, 1.3
+ * over all of them (a DynInst is 56).
  *
- *   side tables (entries only where the common case fails)
- *     addr32    u32   effective address, when != 0 and < 2^32
- *     addrWide  u64   escape for addresses >= 2^32
- *     nextPcExc u32   successor pc, when != pc + 1 (taken branches,
- *                     the final Halt)
+ * Result values are not stored: no timing model reads them. Decoded
+ * instructions carry result 0; live TraceSinks still see the
+ * interpreter's results. Sequence numbers are implicit: decode numbers
+ * the stream by position.
  *
- * flags bits: 0-1 numSrcs, 2 isLoad, 3 isStore, 4 branch, 5 taken,
- * 6 aliased, 7 hasAddr, 8 nextPc exception, 10-12 size code (decode
- * table {0,1,2,4,8}), 13 wide address; 9, 14 and 15 are reserved.
- *
- * Result values are not stored: no timing model reads them, and they
- * are the one field that would otherwise dominate the encoding.
- * Decoded instructions carry result 0; live TraceSinks still see the
- * interpreter's results.
- *
- * Sequence numbers are implicit: appended instructions must arrive
- * with seq equal to their index (the functional Machine emits them
- * that way), and decode reconstructs seq from the cursor position.
- * Side-table membership is order-dependent, so decoding is sequential
- * through a Reader cursor — exactly the access pattern replay has.
+ * The encoding holds only for streams shaped like a program run, so
+ * append() enforces that shape and throws
+ * TraceFormatError{Inconsistent}, naming the instruction index, when
+ *   - seq != size();
+ *   - pc is not the previous instruction's nextPc;
+ *   - a static field, or the successor taken on this outcome, differs
+ *     from an earlier visit to the same pc;
+ *   - a memory instruction's address is 2^32 or more, or a
+ *     non-memory instruction carries an address;
+ *   - a field is out of range (opcode, class, register number,
+ *     numSrcs > 3) or a pc is beyond max_static_pcs.
+ * isa::Machine, the only producer, satisfies all of these: its memory
+ * is 4 MB, and neither traps nor injected faults change the program.
  */
 
 #ifndef CRYPTARCH_ISA_PACKED_TRACE_HH
 #define CRYPTARCH_ISA_PACKED_TRACE_HH
 
 #include <array>
-#include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -70,9 +65,9 @@ enum class TraceErrorKind : uint8_t
     BadMagic,     ///< stream does not start with the trace magic
     BadVersion,   ///< unknown format version
     Truncated,    ///< stream shorter than its header promises
-    BadChecksum,  ///< payload checksum mismatch (bit corruption)
-    Inconsistent, ///< columns/flags/side tables disagree
-    Overrun,      ///< decode consumed past a side table's end
+    BadChecksum,  ///< header or payload checksum mismatch
+    Inconsistent, ///< a table entry or the pc walk is malformed
+    Overrun,      ///< the pc walk ran past a column's end
 };
 
 /** Stable short name of a trace error kind ("bad-magic", ...). */
@@ -80,8 +75,8 @@ const char *traceErrorKindName(TraceErrorKind kind);
 
 /**
  * A packed-trace stream was rejected. Every malformed input path —
- * truncation, corruption, inconsistent side tables — raises this
- * typed error instead of undefined behavior.
+ * truncation, corruption, a stream no program run could produce —
+ * raises this typed error instead of undefined behavior.
  */
 class TraceFormatError : public std::runtime_error
 {
@@ -103,39 +98,46 @@ class TraceFormatError : public std::runtime_error
 class PackedTrace
 {
   public:
-    /** Bytes of one interleaved fixed record (the 14 in "14 B/inst"). */
-    static constexpr size_t row_bytes = 14;
+    /** Largest static table (pcs 0 .. max_static_pcs - 1) accepted. */
+    static constexpr uint32_t max_static_pcs = 1u << 20;
 
     /**
      * Append @p inst to the stream, dropping its result (it decodes
-     * as 0). @p inst.seq must equal size().
+     * as 0). Throws TraceFormatError{Inconsistent} and leaves the
+     * trace unchanged when @p inst breaks the contract in the file
+     * comment.
      */
     void append(const DynInst &inst);
 
-    /** Pre-size the fixed records for @p n instructions. */
-    void reserve(size_t n);
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
 
-    size_t size() const { return fixed_.size(); }
-    bool empty() const { return fixed_.empty(); }
-
-    /** Total bytes held across fixed columns and side tables. */
+    /** Bytes held by the static table, address column and bits. */
     size_t packedBytes() const;
+
+    /** The static table's share of packedBytes(): a cost per program
+     *  instruction, independent of how long the run is. */
+    size_t staticBytes() const { return table_.size() * sizeof(StaticInst); }
 
     void clear();
 
     /**
-     * Serialize to a self-describing byte stream: versioned header
-     * (magic, version, per-table entry counts), FNV-1a checksum over
-     * the payload, then the fixed records as stored and the side
-     * tables little-endian.
+     * Serialize to a self-describing byte stream (format version 3):
+     * a 48-byte header (magic, version, counts, start pc, FNV-1a
+     * checksum over the rest of the header and the payload), then the
+     * static table, the address column and the branch bits,
+     * little-endian.
      */
     std::vector<uint8_t> serialize() const;
 
     /**
-     * Parse a stream produced by serialize(). Validates the magic,
-     * version, length, checksum, and that the flag columns and side
-     * tables are mutually consistent (every decode is in bounds before
-     * a Reader ever runs). Throws TraceFormatError on any defect.
+     * Parse a stream produced by serialize(). Checks the magic,
+     * version, length and checksum, validates every table entry
+     * (opcode and class range, register numbers, numSrcs, successors
+     * inside the table), then walks the pc chain once: every visited
+     * pc must be a table entry, and the walk must use the address
+     * column and the branch bits up exactly. Throws TraceFormatError
+     * on any defect, so a Reader never meets a malformed trace.
      */
     static PackedTrace deserialize(std::span<const uint8_t> bytes);
 
@@ -146,139 +148,115 @@ class PackedTrace
     class Reader
     {
       public:
-        explicit Reader(const PackedTrace &t) : trace(&t) {}
+        explicit Reader(const PackedTrace &t) : trace(&t), pc(t.startPc_)
+        {
+        }
 
-        bool done() const { return index >= trace->size(); }
+        bool done() const { return index >= trace->count_; }
 
         /** Decode the next instruction; valid only when !done().
          *  Defined inline below: the decode runs once per replayed
          *  instruction and wants to fold into the replay loop rather
-         *  than pay a cross-TU call returning a 56-byte DynInst.
-         *  Fully bounds-checked: a side-table overrun (possible only
-         *  on a hand-built inconsistent trace; deserialize() validates
-         *  streams up front) throws TraceFormatError instead of
-         *  reading out of bounds. */
+         *  than pay a cross-TU call returning a 56-byte DynInst. It
+         *  needs no bounds checks: append() and deserialize() admit
+         *  only traces whose walk stays inside every column. */
         DynInst next();
 
       private:
         const PackedTrace *trace;
-        size_t index = 0;
-        size_t addr32Pos = 0;
-        size_t addrWidePos = 0;
-        size_t nextPcPos = 0;
+        uint64_t index = 0;
+        uint32_t pc;
+        size_t addrPos = 0;
+        size_t bitPos = 0;
     };
 
     Reader reader() const { return Reader(*this); }
 
   private:
-    // Flag-word bit layout (see file comment).
-    static constexpr uint16_t num_srcs_mask = 0x0003;
-    static constexpr uint16_t f_load = 1u << 2;
-    static constexpr uint16_t f_store = 1u << 3;
-    static constexpr uint16_t f_branch = 1u << 4;
-    static constexpr uint16_t f_taken = 1u << 5;
-    static constexpr uint16_t f_aliased = 1u << 6;
-    static constexpr uint16_t f_has_addr = 1u << 7;
-    static constexpr uint16_t f_next_pc_exc = 1u << 8;
-    static constexpr unsigned size_code_shift = 10;
-    static constexpr uint16_t size_code_mask = 0x7;
-    static constexpr uint16_t f_wide_addr = 1u << 13;
-    static constexpr uint16_t reserved_flags = 0xC000 | 1u << 9;
+    /** Successor not yet observed. */
+    static constexpr uint32_t no_pc = 0xFFFFFFFF;
 
-    /** Access sizes the ISA produces, indexed by size code. */
-    static constexpr uint8_t size_table[5] = {0, 1, 2, 4, 8};
+    // StaticInst::flags bits (also their serialized form); bits 0-1
+    // hold numSrcs.
+    static constexpr uint8_t f_num_srcs = 0x03;
+    static constexpr uint8_t f_load = 1u << 2;
+    static constexpr uint8_t f_store = 1u << 3;
+    static constexpr uint8_t f_branch = 1u << 4;
+    static constexpr uint8_t f_taken = 1u << 5; ///< unless conditional
+    static constexpr uint8_t f_aliased = 1u << 6;
+    static constexpr uint8_t f_present = 1u << 7; ///< pc was visited
 
-    static uint16_t sizeCode(uint8_t size);
-
-    /** Raise TraceFormatError unless flags and side tables agree. */
-    void validateConsistency() const;
-
-    [[noreturn]] static void overrun(const char *table, size_t index);
-
-    /** Record field offsets within a 14-byte fixed record. */
-    static constexpr size_t off_pc = 0;
-    static constexpr size_t off_op = 4;
-    static constexpr size_t off_cls = 5;
-    static constexpr size_t off_dest = 6;
-    static constexpr size_t off_addr_src = 7;
-    static constexpr size_t off_table_id = 8;
-    static constexpr size_t off_srcs = 9;
-    static constexpr size_t off_flags = 12;
-
-    static uint32_t
-    rowPc(const uint8_t *row)
+    /** The static part of every execution of one pc (20 bytes). */
+    struct StaticInst
     {
-        return static_cast<uint32_t>(row[off_pc])
-            | static_cast<uint32_t>(row[off_pc + 1]) << 8
-            | static_cast<uint32_t>(row[off_pc + 2]) << 16
-            | static_cast<uint32_t>(row[off_pc + 3]) << 24;
+        uint32_t fallthrough = no_pc; ///< successor when not taken
+        uint32_t target = no_pc;      ///< successor when taken
+        Opcode op = Opcode::Halt;
+        OpClass cls = OpClass::Nop;
+        std::array<uint8_t, 3> srcs{};
+        uint8_t dest = 0;
+        uint8_t size = 0;
+        uint8_t addrSrc = 0;
+        uint8_t tableId = 0;
+        uint8_t flags = 0;
+        /** Derived from op and flags: taken comes from the branch bits
+         *  (every branch but Br). Not serialized. */
+        bool conditional = false;
+    };
+
+    static uint8_t flagsOf(const DynInst &inst);
+    static StaticInst staticOf(const DynInst &inst);
+    /** @p inst repeats every field of @p e but the successors. */
+    static bool sameStatic(const StaticInst &e, const DynInst &inst);
+    /** append() for everything but a plain revisit: full checks with
+     *  messages, table growth, first visits. */
+    void appendChecked(const DynInst &inst);
+    /** Store @p inst's address and taken bit, and advance. */
+    void record(const StaticInst &e, const DynInst &inst);
+    /** Why @p e cannot be stored, or nullptr. */
+    static const char *invalidStatic(const StaticInst &e);
+
+    bool
+    bit(size_t i) const
+    {
+        return (bits_[i / 64] >> (i % 64)) & 1;
     }
 
-    static uint16_t
-    rowFlags(const uint8_t *row)
-    {
-        return static_cast<uint16_t>(
-            row[off_flags] | row[off_flags + 1] << 8);
-    }
-
-    /**
-     * One row_bytes-sized record per instruction. std::array keeps the
-     * element trivially copyable with size == alignment == 1 packing,
-     * so push_back is one capacity check plus a 14-byte copy — this is
-     * the recording hot path.
-     */
-    std::vector<std::array<uint8_t, row_bytes>> fixed_;
-
-    std::vector<uint32_t> addr32_;
-    std::vector<uint64_t> addrWide_;
-    std::vector<uint32_t> nextPcExc_;
+    std::vector<StaticInst> table_;
+    std::vector<uint32_t> addrs_;
+    std::vector<uint64_t> bits_;
+    size_t nBits_ = 0;
+    uint64_t count_ = 0;
+    uint32_t startPc_ = 0;
+    uint32_t nextPc_ = 0; ///< successor of the last appended instruction
 };
 
 inline DynInst
 PackedTrace::Reader::next()
 {
     const PackedTrace &t = *trace;
-    const size_t i = index;
-    const uint8_t *row = t.fixed_[i].data();
-    const uint16_t flags = rowFlags(row);
+    const StaticInst &e = t.table_[pc];
 
     DynInst d;
-    d.seq = i;
-    d.pc = rowPc(row);
-    d.op = static_cast<Opcode>(row[off_op]);
-    d.cls = static_cast<OpClass>(row[off_cls]);
-    d.numSrcs = flags & num_srcs_mask;
-    d.srcs = {row[off_srcs], row[off_srcs + 1], row[off_srcs + 2]};
-    d.dest = row[off_dest];
-    d.isLoad = flags & f_load;
-    d.isStore = flags & f_store;
-    d.size = size_table[(flags >> size_code_shift) & size_code_mask];
-    d.addrSrc = row[off_addr_src];
-    d.branch = flags & f_branch;
-    d.taken = flags & f_taken;
-    d.tableId = row[off_table_id];
-    d.aliased = flags & f_aliased;
-
-    if (flags & f_has_addr) {
-        if (flags & f_wide_addr) {
-            if (addrWidePos >= t.addrWide_.size())
-                overrun("addrWide", i);
-            d.addr = t.addrWide_[addrWidePos++];
-        } else {
-            if (addr32Pos >= t.addr32_.size())
-                overrun("addr32", i);
-            d.addr = t.addr32_[addr32Pos++];
-        }
-    }
-    if (flags & f_next_pc_exc) {
-        if (nextPcPos >= t.nextPcExc_.size())
-            overrun("nextPcExc", i);
-        d.nextPc = t.nextPcExc_[nextPcPos++];
-    } else {
-        d.nextPc = d.pc + 1;
-    }
-
-    ++index;
+    d.seq = index++;
+    d.pc = pc;
+    d.op = e.op;
+    d.cls = e.cls;
+    d.numSrcs = e.flags & f_num_srcs;
+    d.srcs = e.srcs;
+    d.dest = e.dest;
+    d.isLoad = e.flags & f_load;
+    d.isStore = e.flags & f_store;
+    d.size = e.size;
+    d.addrSrc = e.addrSrc;
+    d.branch = e.flags & f_branch;
+    d.tableId = e.tableId;
+    d.aliased = e.flags & f_aliased;
+    if (e.flags & (f_load | f_store))
+        d.addr = t.addrs_[addrPos++];
+    d.taken = e.conditional ? t.bit(bitPos++) : (e.flags & f_taken) != 0;
+    d.nextPc = d.taken ? e.target : e.fallthrough;
+    pc = d.nextPc;
     return d;
 }
 

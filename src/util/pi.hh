@@ -1,18 +1,19 @@
 /**
  * @file
- * Arbitrary-precision hexadecimal digits of pi.
+ * Hexadecimal digits of pi.
  *
  * Blowfish initializes its P-array and four S-boxes with the first 8336
- * hexadecimal digits of the fractional part of pi. Rather than embedding
- * 4 KB of opaque constants, cryptarch regenerates them at cipher-setup
- * time with a fixed-point evaluation of Machin's formula
+ * hexadecimal digits of the fractional part of pi: 18 + 4 * 256 = 1042
+ * 32-bit words. They are committed as a table (util/pi.cc), so no
+ * cipher setup or kernel build computes them. The table's verifier is a
+ * fixed-point evaluation of Machin's formula
  *
  *     pi = 16*atan(1/5) - 4*atan(1/239)
  *
- * The first generated words are cross-checked against the well-known
- * leading Blowfish constants (0x243F6A88, 0x85A308D3, ...) in the unit
- * tests, and the published Blowfish known-answer vectors transitively
- * validate the whole stream.
+ * in tests/util/pi_machin.hh: the unit tests require its output to
+ * equal the table word for word and to start with the well-known
+ * leading Blowfish constants (0x243F6A88, 0x85A308D3, ...), and the
+ * published Blowfish known-answer vectors validate the whole stream.
  */
 
 #ifndef CRYPTARCH_UTIL_PI_HH
@@ -25,12 +26,13 @@
 namespace cryptarch::util
 {
 
+/** Words in the committed table: exactly what Blowfish consumes. */
+constexpr size_t pi_table_words = 18 + 4 * 256;
+
 /**
- * Compute the first @p nwords 32-bit words of the fractional part of pi,
- * most significant word first. Word 0 is 0x243F6A88.
- *
- * Cost is O(nwords^2); generating the 1042 words Blowfish needs takes a
- * few milliseconds.
+ * The first @p nwords 32-bit words of the fractional part of pi, most
+ * significant word first. Word 0 is 0x243F6A88. Throws
+ * std::invalid_argument when @p nwords exceeds pi_table_words.
  */
 std::vector<uint32_t> piFractionWords(size_t nwords);
 

@@ -4,7 +4,9 @@
  * sweepOptions): each flag lands in its SweepOptions field, a caller's
  * default survives when its flag is absent, unknown arguments pass
  * through, and a malformed value exits 2 with a usage message instead
- * of running a configuration nobody asked for.
+ * of running a configuration nobody asked for. The benches' own numeric
+ * flags (server_scale --sessions, configfuzz --seed) go through the
+ * same wholeNumberFlag.
  */
 
 #include <gtest/gtest.h>
@@ -96,6 +98,32 @@ TEST(SweepFlags, MalformedFlagExitsWithUsage)
         EXPECT_EXIT(parse({bad}), ::testing::ExitedWithCode(2),
                     "--threads needs a whole number")
             << bad;
+}
+
+TEST(SweepFlags, WholeNumberFlagParsesDecimalAndHex)
+{
+    using bench::wholeNumberFlag;
+    EXPECT_EQ(wholeNumberFlag("bench", "--seed", "0"), 0u);
+    EXPECT_EQ(wholeNumberFlag("bench", "--seed", "5000"), 5000u);
+    EXPECT_EQ(wholeNumberFlag("bench", "--seed", "0xC0F12"), 0xC0F12u);
+    EXPECT_EQ(wholeNumberFlag("bench", "--seed", "0X1f"), 0x1Fu);
+    EXPECT_EQ(wholeNumberFlag("bench", "--seed", "18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_EQ(wholeNumberFlag("bench", "--sessions", "7", 1, 7), 7u);
+}
+
+TEST(SweepFlags, WholeNumberFlagRejectsNonNumbers)
+{
+    // Each of these used to run a default: strtoull read "abc" as 0.
+    for (const char *bad : {"abc", "", "-1", "+3", " 5", "4x", "0x",
+                            "0xg", "1.5", "18446744073709551616"})
+        EXPECT_EXIT(bench::wholeNumberFlag("bench", "--seed", bad),
+                    ::testing::ExitedWithCode(2),
+                    "bench: --seed needs a whole number")
+            << bad;
+    EXPECT_EXIT(bench::wholeNumberFlag("bench", "--sessions", "0", 1),
+                ::testing::ExitedWithCode(2),
+                "--sessions needs a whole number in \\[1, ");
 }
 
 } // namespace

@@ -4,17 +4,17 @@
  * decode(encode(stream)) must equal the original stream field by
  * field, results aside (the encoding drops them), both for real kernel
  * traces captured from the functional Machine and for adversarial
- * synthetic streams exercising every escape path (wide addresses,
- * nextPc exceptions, every access size). Across the whole kernel catalog, the
- * driver's recorded trace must replay the exact interpreter stream and
- * survive a serialize/deserialize round trip byte for byte
- * (BackendParity).
+ * random walks over random static programs, which reach every
+ * successor rule and access size. Across the whole kernel catalog, the
+ * driver's recorded trace must replay the exact interpreter stream,
+ * survive a serialize/deserialize round trip byte for byte, and stay
+ * at or below 3 B/inst (BackendParity); so must the Blowfish key-setup
+ * kernel.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -24,6 +24,8 @@
 #include "isa/packed_trace.hh"
 #include "isa/program.hh"
 #include "kernels/kernel.hh"
+#include "random_program.hh"
+#include "util/xorshift.hh"
 #include "verify/oracle.hh"
 
 namespace
@@ -86,7 +88,6 @@ TEST(PackedTrace, RoundTripsRealKernelStream)
     ASSERT_FALSE(raw.insts.empty());
 
     PackedTrace packed;
-    packed.reserve(raw.insts.size());
     for (const auto &inst : raw.insts)
         packed.append(inst);
     ASSERT_EQ(packed.size(), raw.insts.size());
@@ -101,58 +102,32 @@ TEST(PackedTrace, RoundTripsRealKernelStream)
 
 TEST(PackedTrace, RoundTripsSyntheticEscapePaths)
 {
-    std::mt19937_64 rng(0xBEEF);
-    const uint8_t sizes[] = {0, 1, 2, 4, 8};
-    std::vector<isa::DynInst> stream;
-    for (size_t i = 0; i < 4096; i++) {
-        isa::DynInst d;
-        d.seq = i;
-        d.pc = static_cast<uint32_t>(rng() & 0xFFFF);
-        d.op = static_cast<isa::Opcode>(rng() % 8);
-        d.cls = static_cast<isa::OpClass>(rng() % isa::num_op_classes);
-        d.numSrcs = rng() % 4;
-        d.srcs = {static_cast<uint8_t>(rng() & 63),
-                  static_cast<uint8_t>(rng() & 63),
-                  static_cast<uint8_t>(rng() & 63)};
-        d.dest = rng() & 63;
-        d.isLoad = rng() & 1;
-        d.isStore = !d.isLoad && (rng() & 1);
-        switch (rng() % 3) {
-        case 0:
-            d.addr = 0;
-            break;
-        case 1:
-            d.addr = rng() & 0xFFFFFFFFull; // 32-bit fast path
-            break;
-        case 2:
-            d.addr = rng() | (1ull << 40); // wide escape
-            break;
+    // Random walks over random static programs reach every successor
+    // rule (fall-through, taken and not-taken conditional branches,
+    // Br, Halt's nextPc 0), every access size and address 0.
+    util::Xorshift64 rng(0xBEEF);
+    for (uint32_t programSize : {1u, 2u, 17u, 300u}) {
+        const auto program = testprog::makeRandomProgram(rng, programSize);
+        const uint32_t start =
+            static_cast<uint32_t>(rng.nextBelow(programSize));
+        const auto stream = testprog::randomWalk(program, rng, 4096, start);
+
+        PackedTrace packed;
+        for (const auto &inst : stream)
+            packed.append(inst);
+
+        auto r = packed.reader();
+        for (size_t i = 0; i < stream.size(); i++) {
+            expectInstEqual(withoutResult(stream[i]), r.next(), i);
+            if (HasFailure())
+                return;
         }
-        d.size = sizes[rng() % 5];
-        d.addrSrc = rng() & 63;
-        d.branch = rng() & 1;
-        d.taken = d.branch && (rng() & 1);
-        // Mostly sequential successors, sometimes an exception.
-        d.nextPc = (rng() % 4) ? d.pc + 1
-                               : static_cast<uint32_t>(rng() & 0xFFFF);
-        d.tableId = rng() & 7;
-        d.aliased = rng() & 1;
-        d.result = (rng() % 3) ? rng() : 0; // zero sometimes
-        stream.push_back(d);
+        EXPECT_TRUE(r.done());
+
+        // Independent readers decode independently.
+        auto r2 = packed.reader();
+        expectInstEqual(withoutResult(stream[0]), r2.next(), 0);
     }
-
-    PackedTrace packed;
-    for (const auto &inst : stream)
-        packed.append(inst);
-
-    auto r = packed.reader();
-    for (size_t i = 0; i < stream.size(); i++)
-        expectInstEqual(withoutResult(stream[i]), r.next(), i);
-    EXPECT_TRUE(r.done());
-
-    // Independent readers decode independently.
-    auto r2 = packed.reader();
-    expectInstEqual(withoutResult(stream[0]), r2.next(), 0);
 }
 
 TEST(PackedTrace, DropResultModeZeroesResultsOnly)
@@ -317,8 +292,47 @@ TEST_P(BackendParity, StreamsFieldForFieldIdentical)
             return;
     }
 
+    // The serialization reloads to the same stream.
     const auto bytes = trace.packedStream().serialize();
-    EXPECT_EQ(PackedTrace::deserialize(bytes).serialize(), bytes);
+    const PackedTrace copy = PackedTrace::deserialize(bytes);
+    EXPECT_EQ(copy.serialize(), bytes);
+    auto r = copy.reader();
+    for (size_t i = 0; i < raw.insts.size(); i++) {
+        expectInstEqual(withoutResult(raw.insts[i]), r.next(), i);
+        if (HasFailure())
+            return;
+    }
+    EXPECT_TRUE(r.done());
+}
+
+/**
+ * At the standard session size every kernel's recording (appended
+ * under the strict contract) takes at most 3 B/inst in its
+ * per-instruction columns, and its serialization reloads to the same
+ * stream. The static table comes on top: it is a cost per program
+ * instruction, and it is what lifts the one kernel whose instructions
+ * are 74% memory accesses, Rijndael OptimizedFused decrypt, to
+ * 3.04 B/inst in total at 4 KB.
+ */
+TEST_P(BackendParity, StandardSessionStoresAtMostThreeBytesPerInst)
+{
+    const auto &c = GetParam();
+    auto trace = driver::recordKernelTrace(
+        c.cipher, c.variant, driver::session_bytes, c.direction);
+    const PackedTrace &packed = trace.packedStream();
+    EXPECT_LE(packed.packedBytes() - packed.staticBytes(),
+              3 * packed.size())
+        << packed.packedBytes() << " bytes, " << packed.staticBytes()
+        << " of them static, for " << packed.size() << " instructions";
+    const PackedTrace copy = PackedTrace::deserialize(packed.serialize());
+    ASSERT_EQ(copy.size(), packed.size());
+    auto a = packed.reader();
+    auto b = copy.reader();
+    for (size_t i = 0; i < packed.size(); i++) {
+        expectInstEqual(a.next(), b.next(), i);
+        if (HasFailure())
+            return;
+    }
 }
 
 /**
@@ -353,6 +367,42 @@ TEST_P(BackendParity, VirtualEmitPathMatches)
 INSTANTIATE_TEST_SUITE_P(AllKernels, BackendParity,
                          ::testing::ValuesIn(allParityCases()),
                          parityCaseName);
+
+/**
+ * The Blowfish key-setup kernel (Figure 6) records under the same
+ * contract and bound as the session kernels, for every variant.
+ */
+TEST(SetupKernelTrace, BlowfishRecordsCompactly)
+{
+    const auto w = driver::makeWorkload(crypto::CipherId::Blowfish);
+    for (auto v : {kernels::KernelVariant::BaselineNoRot,
+                   kernels::KernelVariant::BaselineRot,
+                   kernels::KernelVariant::Optimized,
+                   kernels::KernelVariant::OptimizedGrp,
+                   kernels::KernelVariant::OptimizedFused}) {
+        SCOPED_TRACE(kernels::variantName(v));
+        const auto build = kernels::buildBlowfishSetupKernel(v, w.key);
+        isa::Machine m;
+        for (const auto &[addr, bytes] : build.memInit)
+            m.writeMem(addr, bytes);
+        VectorSink raw;
+        m.run(build.program, &raw, 1ull << 28);
+
+        PackedTrace packed;
+        for (const auto &inst : raw.insts)
+            packed.append(inst);
+        EXPECT_LE(packed.packedBytes(), 3 * packed.size());
+        const PackedTrace copy =
+            PackedTrace::deserialize(packed.serialize());
+        auto r = copy.reader();
+        for (size_t i = 0; i < raw.insts.size(); i++) {
+            expectInstEqual(withoutResult(raw.insts[i]), r.next(), i);
+            if (HasFailure())
+                return;
+        }
+        EXPECT_TRUE(r.done());
+    }
+}
 
 // --- targeted stream shapes -------------------------------------------
 

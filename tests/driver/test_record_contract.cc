@@ -7,9 +7,12 @@
  * threaded record backend beside the interpreter. What the suites
  * check now:
  *   CompressedTrace   the packed encoding (the only stored format, a
- *                     several-fold compression of the raw DynInst
- *                     stream) on synthetic loop streams: exact
- *                     decode, implicit seq, serialization integrity.
+ *                     many-fold compression of the raw DynInst stream)
+ *                     on random walks over random static programs:
+ *                     exact decode, implicit seq, serialization
+ *                     integrity.
+ *   AppendContract    each way a stream can break the program shape
+ *                     the encoding relies on raises a typed error.
  *   CompressedReplay  recorded kernel traces: what is stored is the
  *                     packed stream, it decodes and re-encodes byte
  *                     for byte, and it cannot change a simulated
@@ -31,6 +34,7 @@
 #include "driver/trace.hh"
 #include "driver/workload.hh"
 #include "isa/packed_trace.hh"
+#include "random_program.hh"
 #include "sim/pipeline.hh"
 #include "util/xorshift.hh"
 
@@ -43,58 +47,16 @@ using isa::TraceErrorKind;
 using isa::TraceFormatError;
 using util::Xorshift64;
 
-isa::DynInst
-plainInst(uint64_t seq, uint32_t pc)
-{
-    isa::DynInst d;
-    d.seq = seq;
-    d.pc = pc;
-    d.nextPc = pc + 1;
-    return d;
-}
-
 /**
- * Synthetic kernel shape: 3 setup instructions, then @p iters
- * iterations of [load; store; backward branch], then one trailing
- * instruction. The load walks an affine address, or with @p sboxLoad
- * is an SBOX lookup at a data-dependent address; loads carry a result.
+ * Synthetic kernel shape: a random walk of @p n instructions over a
+ * random 40-instruction static program (see random_program.hh).
  */
 std::vector<isa::DynInst>
-makeLoopStream(uint64_t iters, bool sboxLoad = false)
+makeWalk(size_t n, uint64_t seed = 0x5EED)
 {
-    std::vector<isa::DynInst> s;
-    uint64_t seq = 0;
-    for (uint32_t pc = 0; pc < 3; pc++)
-        s.push_back(plainInst(seq++, pc));
-    for (uint64_t it = 0; it < iters; it++) {
-        isa::DynInst ld = plainInst(seq++, 3);
-        ld.isLoad = true;
-        ld.size = 4;
-        ld.dest = 2;
-        ld.result = it * 0x9E3779B9u;
-        if (sboxLoad) {
-            ld.op = isa::Opcode::Sbox;
-            ld.tableId = 1;
-            ld.addr = 0x1000 + ((it * 2654435761u) & 0xFF) * 4;
-        } else {
-            ld.addr = 0x1000 + 8 * it;
-        }
-        s.push_back(ld);
-
-        isa::DynInst st = plainInst(seq++, 4);
-        st.isStore = true;
-        st.size = 4;
-        st.addr = 0x2000;
-        s.push_back(st);
-
-        isa::DynInst br = plainInst(seq++, 5);
-        br.branch = true;
-        br.taken = it + 1 < iters;
-        br.nextPc = br.taken ? 3 : 6;
-        s.push_back(br);
-    }
-    s.push_back(plainInst(seq++, 6));
-    return s;
+    Xorshift64 rng(seed);
+    const auto program = testprog::makeRandomProgram(rng, 40);
+    return testprog::randomWalk(program, rng, n);
 }
 
 PackedTrace
@@ -118,38 +80,47 @@ expectDecodes(const PackedTrace &t, const std::vector<isa::DynInst> &want)
         ASSERT_EQ(d.seq, w.seq) << i;
         ASSERT_EQ(d.pc, w.pc) << i;
         ASSERT_EQ(d.op, w.op) << i;
+        ASSERT_EQ(d.cls, w.cls) << i;
+        ASSERT_EQ(d.numSrcs, w.numSrcs) << i;
+        ASSERT_EQ(d.srcs, w.srcs) << i;
         ASSERT_EQ(d.dest, w.dest) << i;
         ASSERT_EQ(d.isLoad, w.isLoad) << i;
         ASSERT_EQ(d.isStore, w.isStore) << i;
         ASSERT_EQ(d.addr, w.addr) << i;
         ASSERT_EQ(d.size, w.size) << i;
+        ASSERT_EQ(d.addrSrc, w.addrSrc) << i;
         ASSERT_EQ(d.branch, w.branch) << i;
         ASSERT_EQ(d.taken, w.taken) << i;
         ASSERT_EQ(d.nextPc, w.nextPc) << i;
         ASSERT_EQ(d.tableId, w.tableId) << i;
+        ASSERT_EQ(d.aliased, w.aliased) << i;
         ASSERT_EQ(d.result, 0u) << i; // the encoding drops results
     }
     EXPECT_TRUE(r.done());
 }
 
 // ---------------------------------------------------------------------------
-// CompressedTrace: the packed encoding on synthetic loop streams
+// CompressedTrace: the packed encoding on synthetic program walks
 
 TEST(CompressedTrace, SyntheticLoopCompressesAndExpandsExactly)
 {
-    const auto stream = makeLoopStream(12);
+    const auto stream = makeWalk(2000);
     const auto packed = pack(stream);
     expectDecodes(packed, stream);
-    // 14 fixed bytes per instruction plus side tables, against the
-    // in-memory DynInst the stream would otherwise be kept as.
-    EXPECT_LT(2 * packed.packedBytes(), stream.size() * sizeof(isa::DynInst));
+    // A 40-entry static table plus addresses and branch bits, against
+    // the in-memory DynInst the stream would otherwise be kept as.
+    EXPECT_LT(4 * packed.packedBytes(), stream.size() * sizeof(isa::DynInst));
 }
 
 TEST(CompressedTrace, SboxAddressesCompressViaExplicitTable)
 {
-    // Data-dependent SBOX addresses under 2^32 are kept explicitly, one
-    // u32 each, and decode exactly.
-    const auto stream = makeLoopStream(12, /*sboxLoad=*/true);
+    // Data-dependent SBOX addresses are kept explicitly, one u32 each,
+    // and decode exactly.
+    const auto stream = makeWalk(2000, 0x5B0C);
+    size_t sboxes = 0;
+    for (const auto &d : stream)
+        sboxes += d.op == isa::Opcode::Sbox && d.addr != 0;
+    ASSERT_GT(sboxes, 0u) << "the walk never reached an SBOX lookup";
     const auto packed = pack(stream);
     expectDecodes(packed, stream);
 }
@@ -158,36 +129,36 @@ TEST(CompressedTrace, ExpandedSeqIsGloballyRenumbered)
 {
     // seq is not stored: decode (also after a serialization round
     // trip) numbers the stream by position.
-    const auto packed = pack(makeLoopStream(16));
+    const auto packed = pack(makeWalk(700));
     const auto copy = PackedTrace::deserialize(packed.serialize());
     for (const PackedTrace *t : {&packed, &copy}) {
         uint64_t i = 0;
         for (auto r = t->reader(); !r.done(); i++)
             ASSERT_EQ(r.next().seq, i);
-        EXPECT_EQ(i, 3 + 3 * 16 + 1u);
+        EXPECT_EQ(i, 700u);
     }
 }
 
 // ---------------------------------------------------------------------------
-// CompressedTrace: serialization of a synthetic SBOX loop stream
+// CompressedTrace: serialization of a synthetic program walk
 
 std::vector<uint8_t>
-loopStreamBytes(uint64_t iters = 16)
+walkStreamBytes(size_t n = 700)
 {
-    return pack(makeLoopStream(iters, /*sboxLoad=*/true)).serialize();
+    return pack(makeWalk(n)).serialize();
 }
 
 TEST(CompressedTrace, SerializeRoundTripsBitExactly)
 {
-    const auto bytes = loopStreamBytes();
+    const auto bytes = walkStreamBytes();
     const auto t = PackedTrace::deserialize(bytes);
     EXPECT_EQ(t.serialize(), bytes);
-    expectDecodes(t, makeLoopStream(16, true));
+    expectDecodes(t, makeWalk(700));
 }
 
 TEST(CompressedTrace, RejectsBadMagic)
 {
-    auto bytes = loopStreamBytes();
+    auto bytes = walkStreamBytes();
     bytes[0] = 'X';
     try {
         PackedTrace::deserialize(bytes);
@@ -199,7 +170,7 @@ TEST(CompressedTrace, RejectsBadMagic)
 
 TEST(CompressedTrace, RejectsBadVersion)
 {
-    auto bytes = loopStreamBytes();
+    auto bytes = walkStreamBytes();
     bytes[4] = 0xFF;
     try {
         PackedTrace::deserialize(bytes);
@@ -211,7 +182,7 @@ TEST(CompressedTrace, RejectsBadVersion)
 
 TEST(CompressedTrace, RejectsTruncation)
 {
-    const auto bytes = loopStreamBytes();
+    const auto bytes = walkStreamBytes();
     for (size_t keep : {size_t{0}, size_t{3}, size_t{47}, size_t{48},
                         bytes.size() / 2, bytes.size() - 1}) {
         std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + keep);
@@ -222,8 +193,8 @@ TEST(CompressedTrace, RejectsTruncation)
 
 TEST(CompressedTrace, RejectsPayloadCorruption)
 {
-    auto bytes = loopStreamBytes();
-    bytes[bytes.size() - 10] ^= 0x40; // inside the side tables
+    auto bytes = walkStreamBytes();
+    bytes[bytes.size() - 10] ^= 0x40; // inside the address column
     try {
         PackedTrace::deserialize(bytes);
         FAIL() << "corrupted payload accepted";
@@ -234,9 +205,9 @@ TEST(CompressedTrace, RejectsPayloadCorruption)
 
 TEST(CompressedTrace, FuzzedCorruptionNeverCrashesReader)
 {
-    // Every random corruption of a stream with all side tables in use
-    // is rejected with a typed error, never accepted and never UB.
-    const auto bytes = loopStreamBytes(32);
+    // Every random corruption of a stream with every column in use is
+    // rejected with a typed error, never accepted and never UB.
+    const auto bytes = walkStreamBytes(1400);
     Xorshift64 rng(0xC0DEC);
     for (int iter = 0; iter < 400; iter++) {
         auto corrupt = bytes;
@@ -255,6 +226,133 @@ TEST(CompressedTrace, FuzzedCorruptionNeverCrashesReader)
             // expected: typed rejection, no UB
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// AppendContract: streams no program run produces are rejected
+
+/**
+ * Append @p stream, then @p bad, which must be rejected as
+ * Inconsistent with its index in the message and the trace unchanged.
+ */
+void
+expectRejected(const std::vector<isa::DynInst> &stream,
+               const isa::DynInst &bad)
+{
+    PackedTrace t = pack(stream);
+    const auto before = t.serialize();
+    try {
+        t.append(bad);
+        FAIL() << "append accepted the instruction";
+    } catch (const TraceFormatError &e) {
+        EXPECT_EQ(e.kind(), TraceErrorKind::Inconsistent);
+        EXPECT_NE(std::string(e.what()).find(
+                      "instruction " + std::to_string(stream.size())),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(t.serialize(), before);
+}
+
+/**
+ * The last index of @p stream whose pc (and, with @p sameOutcome, whose
+ * branch outcome) occurred earlier, and that satisfies @p pred.
+ */
+template <class Pred>
+size_t
+lastRevisit(const std::vector<isa::DynInst> &stream, bool sameOutcome,
+            Pred pred)
+{
+    for (size_t k = stream.size(); k-- > 0;) {
+        if (!pred(stream[k]))
+            continue;
+        for (size_t j = 0; j < k; j++)
+            if (stream[j].pc == stream[k].pc
+                && (!sameOutcome || stream[j].taken == stream[k].taken))
+                return k;
+    }
+    ADD_FAILURE() << "no revisit in the walk";
+    return 0;
+}
+
+std::vector<isa::DynInst>
+prefix(const std::vector<isa::DynInst> &stream, size_t k)
+{
+    return {stream.begin(), stream.begin() + k};
+}
+
+TEST(AppendContract, RejectsPcJump)
+{
+    const auto stream = makeWalk(500);
+    isa::DynInst bad = stream.back();
+    bad.pc ^= 1; // not the previous instruction's nextPc
+    expectRejected(prefix(stream, stream.size() - 1), bad);
+}
+
+TEST(AppendContract, RejectsChangedStaticField)
+{
+    // An instruction at a pc visited before, with one static field
+    // changed at a time.
+    const auto stream = makeWalk(500);
+    const size_t k = lastRevisit(stream, false, [](const auto &) {
+        return true;
+    });
+    for (int field = 0; field < 5; field++) {
+        isa::DynInst bad = stream[k];
+        switch (field) {
+          case 0: bad.dest ^= 1; break;
+          case 1: bad.srcs[2] ^= 1; break;
+          case 2: bad.tableId ^= 1; break;
+          case 3: bad.aliased = !bad.aliased; break;
+          default: bad.size ^= 16; break;
+        }
+        SCOPED_TRACE(field);
+        expectRejected(prefix(stream, k), bad);
+    }
+}
+
+TEST(AppendContract, RejectsWideAddress)
+{
+    std::vector<isa::DynInst> stream;
+    isa::DynInst ld;
+    ld.op = isa::Opcode::Ldq;
+    ld.cls = isa::OpClass::Load;
+    ld.isLoad = true;
+    ld.size = 8;
+    ld.addr = 1ull << 32;
+    ld.nextPc = 1;
+    expectRejected(stream, ld);
+}
+
+TEST(AppendContract, RejectsAddressOnNonMemoryInstruction)
+{
+    const auto stream = makeWalk(500);
+    size_t k = stream.size() - 1;
+    while (stream[k].isLoad || stream[k].isStore)
+        k--;
+    isa::DynInst bad = stream[k];
+    bad.addr = 0x40;
+    expectRejected(prefix(stream, k), bad);
+}
+
+TEST(AppendContract, RejectsSequenceGap)
+{
+    const auto stream = makeWalk(500);
+    isa::DynInst bad = stream.back();
+    bad.seq++;
+    expectRejected(prefix(stream, stream.size() - 1), bad);
+}
+
+TEST(AppendContract, RejectsChangedSuccessor)
+{
+    // The same pc and outcome always lead to the same successor.
+    const auto stream = makeWalk(500);
+    const size_t k = lastRevisit(stream, true, [](const auto &) {
+        return true;
+    });
+    isa::DynInst bad = stream[k];
+    bad.nextPc += 1;
+    expectRejected(prefix(stream, k), bad);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +421,6 @@ TEST(CompressedReplay, EveryCatalogKernelExpandsByteIdentically)
             auto trace = driver::recordKernelTrace(id, variant, 512);
             const PackedTrace &packed = trace.packedStream();
             PackedTrace reencoded;
-            reencoded.reserve(packed.size());
             for (auto r = packed.reader(); !r.done();)
                 reencoded.append(r.next());
             EXPECT_EQ(reencoded.serialize(), packed.serialize());

@@ -6,6 +6,8 @@
  * typed TraceFormatError. The fuzz case flips random bytes and bits in
  * real kernel trace streams and asserts the reader never crashes or
  * accepts silently (the ASan/UBSan CI job runs these same cases).
+ * Streams edited behind a recomputed checksum reach the semantic
+ * checks: table entries, and the pc walk over the columns.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "driver/trace.hh"
 #include "isa/packed_trace.hh"
+#include "util/checksum.hh"
 #include "util/xorshift.hh"
 
 namespace
@@ -141,6 +144,79 @@ TEST(TraceIntegrity, RejectsChecksumFieldCorruption)
     auto bytes = kernelStream();
     bytes[40] ^= 0x01; // the stored checksum itself
     EXPECT_THROW(PackedTrace::deserialize(bytes), TraceFormatError);
+}
+
+// Format v3 layout used below: a 48-byte header (instruction count at
+// 8, table size at 16, start pc at 20, address count at 24, branch-bit
+// count at 32, checksum at 40), then 18-byte table entries (opcode at
+// +0, dest at +2, flags at +9, fall-through at +10), then the columns.
+constexpr size_t header_bytes = 48;
+constexpr size_t entry_bytes = 18;
+
+uint32_t
+le32(const std::vector<uint8_t> &b, size_t at)
+{
+    return b[at] | b[at + 1] << 8 | b[at + 2] << 16
+        | static_cast<uint32_t>(b[at + 3]) << 24;
+}
+
+void
+setLE(std::vector<uint8_t> &b, size_t at, uint64_t v, unsigned n)
+{
+    for (unsigned i = 0; i < n; i++)
+        b[at + i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/** @p b with its checksum recomputed, as a buggy writer would emit. */
+std::vector<uint8_t>
+resealed(std::vector<uint8_t> b)
+{
+    const uint64_t sum = util::fnv1a64(
+        b.data() + header_bytes, b.size() - header_bytes,
+        util::fnv1a64(b.data(), 40));
+    setLE(b, 40, sum, 8);
+    return b;
+}
+
+TraceErrorKind
+rejectionOf(const std::vector<uint8_t> &bytes)
+{
+    try {
+        drain(PackedTrace::deserialize(bytes));
+    } catch (const TraceFormatError &e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "stream accepted";
+    return TraceErrorKind::BadMagic;
+}
+
+TEST(TraceIntegrity, RejectsWellSealedButMalformedStreams)
+{
+    const auto bytes = kernelStream();
+    ASSERT_EQ(PackedTrace::deserialize(resealed(bytes)).serialize(), bytes);
+    const uint32_t nTable = le32(bytes, 16);
+    const size_t entry0 = header_bytes + le32(bytes, 20) * entry_bytes;
+
+    auto edit = [&](size_t at, uint64_t v, unsigned n) {
+        auto b = bytes;
+        setLE(b, at, v, n);
+        return resealed(b);
+    };
+    // Table entries: opcode, register and successor ranges.
+    EXPECT_EQ(rejectionOf(edit(entry0, 0xFF, 1)),
+              TraceErrorKind::Inconsistent);
+    EXPECT_EQ(rejectionOf(edit(entry0 + 2, isa::num_regs, 1)),
+              TraceErrorKind::Inconsistent);
+    EXPECT_EQ(rejectionOf(edit(entry0 + 10, nTable + 5, 4)),
+              TraceErrorKind::Inconsistent);
+    // The walk: a start pc with no entry, and columns that run out or
+    // are left over.
+    EXPECT_EQ(rejectionOf(edit(20, nTable + 1, 4)),
+              TraceErrorKind::Inconsistent);
+    const uint32_t n = le32(bytes, 8); // a 512-byte RC4 session
+    EXPECT_EQ(rejectionOf(edit(8, n + 1000, 8)), TraceErrorKind::Overrun);
+    EXPECT_EQ(rejectionOf(edit(8, n - 1000, 8)),
+              TraceErrorKind::Inconsistent);
 }
 
 TEST(TraceIntegrity, FuzzedCorruptionNeverCrashesReader)
