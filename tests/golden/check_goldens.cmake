@@ -14,6 +14,7 @@
 # An intended model change regenerates the goldens in the same change:
 #   (cd tests/golden && for b in fig04_throughput fig05_bottlenecks \
 #       fig10_speedup tab02_models; do ../../build/bench/$b; done)
+#   (cd tests/golden && ../../build/bench/server_scale --quick)
 
 foreach(var WORK_DIR GOLDEN_DIR BENCHES)
     if(NOT DEFINED ${var})
