@@ -207,34 +207,42 @@ Des::setKey(std::span<const uint8_t, 8> key)
 }
 
 uint64_t
-Des::encrypt(uint64_t block) const
+Des::encryptRounds(uint64_t permuted) const
 {
-    uint64_t v = initialPermutation(block);
-    uint32_t l = static_cast<uint32_t>(v >> 32);
-    uint32_t r = static_cast<uint32_t>(v);
+    uint32_t l = static_cast<uint32_t>(permuted >> 32);
+    uint32_t r = static_cast<uint32_t>(permuted);
     for (int round = 0; round < 16; round++) {
         uint32_t next_r = l ^ feistel(r, keys[round]);
         l = r;
         r = next_r;
     }
     // Final swap: the last round's halves are exchanged before FP.
-    uint64_t pre = (static_cast<uint64_t>(r) << 32) | l;
-    return finalPermutation(pre);
+    return (static_cast<uint64_t>(r) << 32) | l;
 }
 
 uint64_t
-Des::decrypt(uint64_t block) const
+Des::decryptRounds(uint64_t permuted) const
 {
-    uint64_t v = initialPermutation(block);
-    uint32_t l = static_cast<uint32_t>(v >> 32);
-    uint32_t r = static_cast<uint32_t>(v);
+    uint32_t l = static_cast<uint32_t>(permuted >> 32);
+    uint32_t r = static_cast<uint32_t>(permuted);
     for (int round = 15; round >= 0; round--) {
         uint32_t next_r = l ^ feistel(r, keys[round]);
         l = r;
         r = next_r;
     }
-    uint64_t pre = (static_cast<uint64_t>(r) << 32) | l;
-    return finalPermutation(pre);
+    return (static_cast<uint64_t>(r) << 32) | l;
+}
+
+uint64_t
+Des::encrypt(uint64_t block) const
+{
+    return finalPermutation(encryptRounds(initialPermutation(block)));
+}
+
+uint64_t
+Des::decrypt(uint64_t block) const
+{
+    return finalPermutation(decryptRounds(initialPermutation(block)));
 }
 
 // ---------------------------------------------------------------------
@@ -259,21 +267,22 @@ TripleDes::setKey(std::span<const uint8_t> key)
 void
 TripleDes::encryptBlock(const uint8_t *in, uint8_t *out) const
 {
-    uint64_t v = load64be(in);
-    v = des[0].encrypt(v);
-    v = des[1].decrypt(v);
-    v = des[2].encrypt(v);
-    store64be(out, v);
+    // E·D·E with one IP and one FP: the inner FP·IP pairs cancel.
+    uint64_t v = Des::initialPermutation(load64be(in));
+    v = des[0].encryptRounds(v);
+    v = des[1].decryptRounds(v);
+    v = des[2].encryptRounds(v);
+    store64be(out, Des::finalPermutation(v));
 }
 
 void
 TripleDes::decryptBlock(const uint8_t *in, uint8_t *out) const
 {
-    uint64_t v = load64be(in);
-    v = des[2].decrypt(v);
-    v = des[1].encrypt(v);
-    v = des[0].decrypt(v);
-    store64be(out, v);
+    uint64_t v = Des::initialPermutation(load64be(in));
+    v = des[2].decryptRounds(v);
+    v = des[1].encryptRounds(v);
+    v = des[0].decryptRounds(v);
+    store64be(out, Des::finalPermutation(v));
 }
 
 uint64_t

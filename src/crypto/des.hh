@@ -38,6 +38,18 @@ class Des
     /** Decrypt a 64-bit block presented as a big-endian integer. */
     uint64_t decrypt(uint64_t block) const;
 
+    /**
+     * The 16 encryption rounds alone, on a block already through IP;
+     * the result (halves swapped) still needs FP. encrypt(x) is
+     * finalPermutation(encryptRounds(initialPermutation(x))), so
+     * chained cores (3DES) apply IP once and FP once: the FP·IP pairs
+     * between them cancel.
+     */
+    uint64_t encryptRounds(uint64_t permuted) const;
+
+    /** The 16 decryption rounds alone; see encryptRounds(). */
+    uint64_t decryptRounds(uint64_t permuted) const;
+
     /** The 16 expanded 48-bit subkeys (bit 47 first E-bit). */
     const std::array<uint64_t, 16> &subkeys() const { return keys; }
 

@@ -41,10 +41,10 @@
  * saturation (load > 1) achieved throughput pins at capacity while
  * the percentiles diverge, which is the curve shape the bench plots.
  *
- * Everything is deterministic: one Xorshift64 stream per simulation,
- * sequential event loop, and the grid runner writes results into
- * pre-assigned slots so output is identical for any worker-thread
- * count.
+ * Everything is deterministic: one Xorshift64 stream per cipher
+ * population, a sequential event loop per (rates, load factor), and
+ * every parallel task writes pre-assigned slots, so output is
+ * identical for any worker-thread count.
  */
 
 #ifndef CRYPTARCH_SSL_SERVER_HH
@@ -147,19 +147,36 @@ struct ServerSimResult
 };
 
 /**
- * Run one server simulation. Sequential and deterministic: identical
- * (rates, params) always produce an identical result, including the
- * chain digest.
+ * Run one server simulation: runServerSims({rates}, params, 1)[0].
+ * Identical (rates, params) always produce an identical result,
+ * including the chain digest.
  */
 ServerSimResult runServerSim(const ServerRates &rates,
                              const ServerSimParams &params);
 
 /**
  * Run one simulation per entry of @p rates on a pool of @p threads
- * workers (0 = hardware concurrency, capped at the cell count).
+ * workers (0 = hardware concurrency, capped at each pass's task
+ * count). The session population and the chain digest depend only on
+ * the cipher and @p params, so they are computed once per distinct
+ * cipher and shared by every entry of that cipher:
+ *
+ *  1. population pass — one sequential stream walk per cipher,
+ *     keeping ~9 bytes per session (bytes, requests, resumed);
+ *  2. chain pass — the digest in fixed chunks of sessions, each
+ *     redrawn from a stream snapshot and XOR-combined, so the bits do
+ *     not depend on chunking or thread count; the per-rate aggregate
+ *     passes run alongside;
+ *  3. queue pass — one task per (rates entry, load factor).
+ *
  * Results are written into pre-assigned slots, so the returned vector
  * is ordered exactly like @p rates for any thread count — the same
  * determinism contract as driver::runCells.
+ *
+ * @throws std::invalid_argument naming the field when @p params is
+ *         degenerate: no sessions or servers, minBytes > maxBytes, a
+ *         non-finite distribution parameter, or a load factor that is
+ *         not finite and positive.
  */
 std::vector<ServerSimResult>
 runServerSims(const std::vector<ServerRates> &rates,

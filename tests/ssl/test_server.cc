@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "ssl/server.hh"
 
 namespace
@@ -56,12 +61,14 @@ expectIdentical(const ServerSimResult &a, const ServerSimResult &b)
     EXPECT_EQ(a.meanServiceCycles, b.meanServiceCycles);
     EXPECT_EQ(a.meanSessionBytes, b.meanSessionBytes);
     EXPECT_EQ(a.meanRequests, b.meanRequests);
+    EXPECT_EQ(a.resumedShare, b.resumedShare);
     EXPECT_EQ(a.handshakeFraction, b.handshakeFraction);
     EXPECT_EQ(a.setupFraction, b.setupFraction);
     EXPECT_EQ(a.bulkFraction, b.bulkFraction);
     EXPECT_EQ(a.otherFraction, b.otherFraction);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (size_t i = 0; i < a.points.size(); i++) {
+        EXPECT_EQ(a.points[i].loadFactor, b.points[i].loadFactor);
         EXPECT_EQ(a.points[i].offeredPerGcycle,
                   b.points[i].offeredPerGcycle);
         EXPECT_EQ(a.points[i].achievedPerGcycle,
@@ -72,6 +79,27 @@ expectIdentical(const ServerSimResult &a, const ServerSimResult &b)
         EXPECT_EQ(a.points[i].p99Cycles, b.points[i].p99Cycles);
         EXPECT_EQ(a.points[i].meanCycles, b.points[i].meanCycles);
     }
+}
+
+// The server_scale grid shape: 3 ciphers x 4 machine models, each
+// model with its own bulk rate, key setup and prologue.
+std::vector<ServerRates>
+modelGrid()
+{
+    std::vector<ServerRates> rates;
+    for (auto id : {crypto::CipherId::TripleDES, crypto::CipherId::RC4,
+                    crypto::CipherId::Blowfish}) {
+        for (int m = 0; m < 4; m++) {
+            ServerRates r = desLikeRates();
+            r.cipher = id;
+            r.model = "M" + std::to_string(m);
+            r.cyclesPerByte = 100.0 / (m + 1);
+            r.keySetupCycles = 50e3 / (m + 1);
+            r.prologueCycles = 800.0 - 100 * m;
+            rates.push_back(r);
+        }
+    }
+    return rates;
 }
 
 TEST(ServerSim, DeterministicAcrossRuns)
@@ -95,6 +123,135 @@ TEST(ServerSim, DeterministicAcrossThreadCounts)
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); i++)
         expectIdentical(serial[i], parallel[i]);
+}
+
+// Models of one cipher share one population: a single grid call must
+// give every cell exactly what simulating it alone gives.
+TEST(ServerSim, GridMatchesCellsAlone)
+{
+    const auto rates = modelGrid();
+    const auto params = smallParams();
+    const auto grid = ssl::runServerSims(rates, params, 4);
+    ASSERT_EQ(grid.size(), rates.size());
+    for (size_t k = 0; k < rates.size(); k++) {
+        SCOPED_TRACE(rates[k].model + " cell " + std::to_string(k));
+        expectIdentical(grid[k], ssl::runServerSim(rates[k], params));
+    }
+}
+
+// The chain digest depends on the cipher and the population only, so
+// every model of a cipher reports the same one, and the three ciphers
+// report three different ones.
+TEST(ServerSim, SharedCipherReportsOneDigest)
+{
+    auto params = smallParams();
+    params.loadFactors = {0.5};
+    const auto grid = ssl::runServerSims(modelGrid(), params, 3);
+    ASSERT_EQ(grid.size(), 12u);
+    for (size_t c = 0; c < 3; c++) {
+        for (size_t m = 1; m < 4; m++)
+            EXPECT_EQ(grid[4 * c + m].chainDigest, grid[4 * c].chainDigest)
+                << "cipher " << c << " model " << m;
+        EXPECT_NE(grid[4 * c].chainDigest,
+                  grid[4 * ((c + 1) % 3)].chainDigest);
+    }
+}
+
+// The chain pass runs in chunks of 4096 sessions. Populations of one
+// session and of one session either side of a chunk boundary must give
+// the digest of one sequential walk over all sessions (the pinned
+// values), and identical results at any thread count.
+TEST(ServerSim, ChunkBoundariesKeepSequentialDigest)
+{
+    struct Case
+    {
+        crypto::CipherId cipher;
+        uint64_t sessions;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {crypto::CipherId::TripleDES, 1, 0x6e0e40efdffe461full},
+        {crypto::CipherId::TripleDES, 4095, 0xa16c2b508c6fa629ull},
+        {crypto::CipherId::TripleDES, 4097, 0xa4096b54596fbcafull},
+        {crypto::CipherId::RC4, 1, 0x41922e102a5ba78cull},
+        {crypto::CipherId::RC4, 4095, 0xede21d79088db98aull},
+        {crypto::CipherId::RC4, 4097, 0xa0d341c285b6edbaull},
+        {crypto::CipherId::Blowfish, 4095, 0xf23d639672511ae9ull},
+        {crypto::CipherId::Blowfish, 4097, 0xd841a4fc544b4fc4ull},
+    };
+    for (const auto &c : cases) {
+        ServerRates r = desLikeRates();
+        r.cipher = c.cipher;
+        ServerRates other = r;
+        other.cyclesPerByte = 10;
+        auto params = smallParams();
+        params.sessions = c.sessions;
+        params.loadFactors = {0.5, 1.2};
+        const auto alone = ssl::runServerSim(r, params);
+        EXPECT_EQ(alone.chainDigest, c.digest)
+            << crypto::cipherInfo(c.cipher).name << " x " << c.sessions;
+        for (unsigned threads : {1u, 3u, 4u}) {
+            SCOPED_TRACE(crypto::cipherInfo(c.cipher).name + " x "
+                         + std::to_string(c.sessions) + " sessions, "
+                         + std::to_string(threads) + " threads");
+            const auto grid =
+                ssl::runServerSims({r, other}, params, threads);
+            expectIdentical(grid[0], alone);
+            EXPECT_EQ(grid[1].chainDigest, c.digest);
+        }
+    }
+}
+
+// Degenerate shapes are refused up front with the field named, instead
+// of crashing (no sessions or cores), hitting undefined behaviour
+// (an inverted byte clamp) or producing NaN curves.
+TEST(ServerSim, RejectsDegenerateParams)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto expectRejected = [](const ServerSimParams &p,
+                             const std::string &field) {
+        try {
+            ssl::runServerSims({desLikeRates()}, p, 2);
+            ADD_FAILURE() << field << ": accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    auto p = smallParams();
+    p.sessions = 0;
+    expectRejected(p, "sessions");
+    p = smallParams();
+    p.servers = 0;
+    expectRejected(p, "servers");
+    p = smallParams();
+    p.minBytes = 4096;
+    p.maxBytes = 256;
+    expectRejected(p, "minBytes");
+    for (double load : {0.0, -0.5, nan, inf}) {
+        p = smallParams();
+        p.loadFactors = {0.5, load};
+        expectRejected(p, "loadFactors");
+    }
+    p = smallParams();
+    p.meanRequestsPerSession = nan;
+    expectRejected(p, "meanRequestsPerSession");
+    p = smallParams();
+    p.log2MedianBytes = inf;
+    expectRejected(p, "log2MedianBytes");
+
+    // The single-cell entry point shares the check.
+    p = smallParams();
+    p.servers = 0;
+    EXPECT_THROW(ssl::runServerSim(desLikeRates(), p),
+                 std::invalid_argument);
+    // A one-session, one-core population is small, not degenerate.
+    p = smallParams();
+    p.sessions = 1;
+    p.servers = 1;
+    EXPECT_EQ(ssl::runServerSim(desLikeRates(), p).points.size(), 3u);
 }
 
 TEST(ServerSim, FractionsSumToOne)
