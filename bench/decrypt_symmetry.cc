@@ -12,6 +12,9 @@
  * run is oracle-checked: encryption against the reference ciphertext,
  * decryption against round-trip recovery of the plaintext from the
  * reference ciphertext.
+ *
+ * Every timed run also goes to BENCH_decrypt_symmetry.json, one row
+ * per (cipher, variant, direction) with a "direction" member.
  */
 
 #include <cstdio>
@@ -49,12 +52,27 @@ main()
     std::printf("%.60s\n",
                 "----------------------------------------------------"
                 "--------");
+    std::vector<driver::SweepResult> rows;
+    std::vector<std::string> extras;
+    auto row = [&](crypto::CipherId id, KernelVariant v,
+                   const sim::SimStats &stats, const char *direction) {
+        driver::SweepResult r;
+        r.cipher = id;
+        r.variant = v;
+        r.model = sim::MachineConfig::fourWide().name;
+        r.stats = stats;
+        rows.push_back(r);
+        extras.push_back(std::string("\"direction\": \"") + direction
+                         + "\"");
+    };
     for (auto id : allCiphers()) {
         const auto &info = crypto::cipherInfo(id);
         for (auto v : {KernelVariant::BaselineRot,
                        KernelVariant::Optimized}) {
             auto enc = timeDirection(id, v, KernelDirection::Encrypt);
             auto dec = timeDirection(id, v, KernelDirection::Decrypt);
+            row(id, v, enc, "encrypt");
+            row(id, v, dec, "decrypt");
             std::printf("%-10s %-14s %12llu %12llu %8.2f\n",
                         info.name.c_str(),
                         kernels::variantName(v).c_str(),
@@ -71,5 +89,7 @@ main()
         "serial recurrence. Ciphers already at dataflow speed —\n"
         "3DES, Mars, Rijndael — show the paper's \"comparable\"\n"
         "behavior directly.)\n");
+    driver::writeBenchJson("BENCH_decrypt_symmetry.json",
+                           "decrypt_symmetry", rows, extras);
     return 0;
 }

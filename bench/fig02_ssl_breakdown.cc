@@ -9,10 +9,17 @@
  * shape to reproduce: public-key work dominates very short sessions;
  * by ~32 KB the private-key cipher is ~half of run time and keeps
  * growing.
+ *
+ * The figure also goes to BENCH_fig02.json. Its rows are the two
+ * bulk-rate probe kernels the model times (BaselineRot on 4W at the
+ * two probe lengths); the hi-probe row carries the derived rates and
+ * the session-length table as its "figure2" member.
  */
 
 #include <cstdio>
+#include <string>
 
+#include "bench/common.hh"
 #include "ssl/session.hh"
 
 int
@@ -43,12 +50,50 @@ main(int argc, char **argv)
     std::printf("%.64s\n",
                 "----------------------------------------------------"
                 "------------");
+    char buf[320];
+    std::snprintf(buf, sizeof(buf),
+                  "\"figure2\": {\"bulk_cipher\": \"%s\", "
+                  "\"server_handshake_mcycles\": %.6f, "
+                  "\"client_handshake_mcycles\": %.6f, "
+                  "\"bulk_cycles_per_byte\": %.4f, "
+                  "\"prologue_cycles\": %.1f, \"setup_cycles\": %.1f, "
+                  "\"sessions\": [",
+                  info.name.c_str(), model.handshakeCycles() / 1e6,
+                  model.clientHandshakeCycles() / 1e6,
+                  model.bulkCyclesPerByte(), model.prologueCycles(),
+                  model.setupCycles());
+    std::string figure = buf;
+    bool first = true;
     for (size_t kb : {1, 2, 4, 8, 16, 32, 64, 128}) {
         auto c = model.cost(kb * 1024);
         std::printf("%8zuKB %11.1f%% %11.1f%% %11.1f%% %14.2f\n", kb,
                     100.0 * c.publicFraction(),
                     100.0 * c.privateFraction(),
                     100.0 * c.otherFraction(), c.total() / 1e6);
+        std::snprintf(buf, sizeof(buf),
+                      "%s{\"kb\": %zu, \"public_key\": %.6f, "
+                      "\"private_key\": %.6f, \"other\": %.6f, "
+                      "\"total_mcycles\": %.6f}",
+                      first ? "" : ", ", kb, c.publicFraction(),
+                      c.privateFraction(), c.otherFraction(),
+                      c.total() / 1e6);
+        figure += buf;
+        first = false;
     }
+    figure += "]}";
+
+    const ssl::SessionModelParams params;
+    std::vector<driver::SweepResult> rows(2);
+    const size_t probe_bytes[2] = {params.probeBytesLo, params.probeBytesHi};
+    for (size_t i = 0; i < 2; i++) {
+        rows[i].cipher = bulk;
+        rows[i].variant = kernels::KernelVariant::BaselineRot;
+        rows[i].model = params.model.name;
+        rows[i].bytes = probe_bytes[i];
+        rows[i].stats = model.probeStats()[i];
+    }
+    driver::writeBenchJson("BENCH_fig02.json", "fig02", rows,
+                           {"\"probe\": \"lo\"",
+                            "\"probe\": \"hi\", " + figure});
     return 0;
 }

@@ -59,8 +59,7 @@ SessionModel::SessionModel(crypto::CipherId bulk_cipher,
     auto cipher_key = rng.bytes(info.keyBits / 8);
     auto iv = rng.bytes(info.isStream ? 0 : info.blockBytes);
 
-    double last_ipc = 1.0;
-    auto probe_cycles = [&](size_t probe_bytes) {
+    auto probe_cycles = [&](size_t probe_bytes, sim::SimStats &stats) {
         auto build = kernels::buildKernel(
             cipher, kernels::KernelVariant::BaselineRot, cipher_key, iv,
             probe_bytes);
@@ -69,12 +68,11 @@ SessionModel::SessionModel(crypto::CipherId bulk_cipher,
         build.install(m, kernels::toWordImage(cipher, pt));
         sim::OooScheduler sched(params.model);
         m.run(build.program, &sched, 1ull << 30);
-        auto stats = sched.finish();
-        last_ipc = stats.ipc();
+        stats = sched.finish();
         return static_cast<double>(stats.cycles);
     };
-    double cyc_lo = probe_cycles(params.probeBytesLo);
-    double cyc_hi = probe_cycles(params.probeBytesHi);
+    double cyc_lo = probe_cycles(params.probeBytesLo, probes[0]);
+    double cyc_hi = probe_cycles(params.probeBytesHi, probes[1]);
     bulkCpb = (cyc_hi - cyc_lo)
         / static_cast<double>(params.probeBytesHi - params.probeBytesLo);
     prologueCyc =
@@ -84,7 +82,7 @@ SessionModel::SessionModel(crypto::CipherId bulk_cipher,
     uint64_t setup_insts = info.isStream
         ? crypto::makeStreamCipher(cipher)->setupOpEstimate()
         : crypto::makeBlockCipher(cipher)->setupOpEstimate();
-    setupCyc = static_cast<double>(setup_insts) / last_ipc;
+    setupCyc = static_cast<double>(setup_insts) / probes[1].ipc();
 }
 
 SessionCost

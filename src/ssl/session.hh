@@ -28,10 +28,12 @@
 #ifndef CRYPTARCH_SSL_SESSION_HH
 #define CRYPTARCH_SSL_SESSION_HH
 
+#include <array>
 #include <cstdint>
 
 #include "crypto/cipher.hh"
 #include "sim/config.hh"
+#include "sim/pipeline.hh"
 #include "ssl/rsa.hh"
 
 namespace cryptarch::ssl
@@ -124,6 +126,11 @@ class SessionModel
     /** Client-side public-op cost in cycles (reference only; never
      *  part of the server breakdown). */
     double clientHandshakeCycles() const { return clientHandshakeCyc; }
+    /** Timing of the two bulk probes, {probeBytesLo, probeBytesHi}. */
+    const std::array<sim::SimStats, 2> &probeStats() const
+    {
+        return probes;
+    }
 
   private:
     crypto::CipherId cipher;
@@ -133,6 +140,7 @@ class SessionModel
     double bulkCpb = 0;
     double prologueCyc = 0;
     double setupCyc = 0;
+    std::array<sim::SimStats, 2> probes;
 };
 
 } // namespace cryptarch::ssl

@@ -6,6 +6,8 @@
 #include "util/hex.hh"
 #include "util/xorshift.hh"
 
+#include "des_ref.hh"
+
 namespace
 {
 
@@ -87,6 +89,56 @@ TEST(Des, FinalPermutationInvertsInitial)
         EXPECT_EQ(Des::finalPermutation(Des::initialPermutation(v)), v);
         EXPECT_EQ(Des::initialPermutation(Des::finalPermutation(v)), v);
     }
+}
+
+// IP and FP against the standard's bit-gather definition: every single
+// bit, then random words.
+TEST(Des, PermutationsMatchFips46Reference)
+{
+    for (int bit = 0; bit < 64; bit++) {
+        uint64_t v = 1ull << bit;
+        EXPECT_EQ(Des::initialPermutation(v),
+                  des_ref::initialPermutation(v)) << "bit " << bit;
+        EXPECT_EQ(Des::finalPermutation(v), des_ref::finalPermutation(v))
+            << "bit " << bit;
+    }
+    Xorshift64 rng(8);
+    for (int i = 0; i < 1000; i++) {
+        uint64_t v = rng.next();
+        EXPECT_EQ(Des::initialPermutation(v),
+                  des_ref::initialPermutation(v));
+        EXPECT_EQ(Des::finalPermutation(v), des_ref::finalPermutation(v));
+    }
+}
+
+// Whole single-DES blocks against the reference, random keys.
+TEST(Des, MatchesFips46Reference)
+{
+    Xorshift64 rng(9);
+    for (int k = 0; k < 50; k++) {
+        auto key = rng.bytes(8);
+        Des des;
+        des.setKey(std::span<const uint8_t, 8>(key.data(), 8));
+        uint64_t key64 = 0;
+        for (uint8_t b : key)
+            key64 = (key64 << 8) | b;
+        for (int b = 0; b < 20; b++) {
+            uint64_t v = rng.next();
+            EXPECT_EQ(des.encrypt(v), des_ref::crypt(v, key64, false));
+            EXPECT_EQ(des.decrypt(v), des_ref::crypt(v, key64, true));
+        }
+    }
+}
+
+// The SP boxes are also the CryptISA kernel's tables: pin all 512
+// words (FNV-1a over them) so a change to their layout cannot slip by.
+TEST(Des, SpBoxesArePinned)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto &box : Des::spBoxes())
+        for (uint32_t w : box)
+            h = (h ^ w) * 0x100000001b3ull;
+    EXPECT_EQ(h, 0xc5e24a8fd1e8cae5ull);
 }
 
 // The SP-box formulation of the f function must match a direct

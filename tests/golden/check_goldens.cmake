@@ -12,8 +12,9 @@
 # --journal=PATH among them the journal must exist and be non-empty
 # after the run, so a bench that ignores its sweep flags fails here.
 # An intended model change regenerates the goldens in the same change:
-#   (cd tests/golden && for b in fig04_throughput fig05_bottlenecks \
-#       fig10_speedup tab02_models; do ../../build/bench/$b; done)
+#   (cd tests/golden && for b in fig02_ssl_breakdown fig04_throughput \
+#       fig05_bottlenecks fig10_speedup tab02_models decrypt_symmetry; \
+#       do ../../build/bench/$b; done)
 #   (cd tests/golden && ../../build/bench/server_scale --quick)
 
 foreach(var WORK_DIR GOLDEN_DIR BENCHES)

@@ -202,6 +202,60 @@ TEST(ServerSim, ChunkBoundariesKeepSequentialDigest)
     }
 }
 
+// The chain pass runs a block cipher's sessions four at a time. Chunk
+// tails of one to three sessions leave lanes idle, sessions of one
+// request finish every step and sessions of 64 requests hold their
+// lane for 64 steps; meanRequestsPerSession <= 1 draws no request
+// count, so the stream advances one draw less per session. Each case
+// must give the digest of the one-session-at-a-time walk (the pinned
+// values) at any thread count.
+TEST(ServerSim, LaneTailsKeepSequentialDigest)
+{
+    struct Case
+    {
+        crypto::CipherId cipher;
+        uint64_t sessions;
+        double meanRequests;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {crypto::CipherId::TripleDES, 2, 4.0, 0xc4858302b855f3abull},
+        {crypto::CipherId::TripleDES, 3, 4.0, 0xcf961f01b9eb1908ull},
+        {crypto::CipherId::TripleDES, 4098, 4.0, 0x59162f6bdf52e109ull},
+        {crypto::CipherId::TripleDES, 4099, 4.0, 0x76dc55801df5039aull},
+        {crypto::CipherId::Blowfish, 1, 4.0, 0xd6ad3932603ee119ull},
+        {crypto::CipherId::Blowfish, 4099, 4.0, 0x1810dc20ab1fc4acull},
+        {crypto::CipherId::TripleDES, 4099, 1.0, 0x942bab2bf1e8ac54ull},
+        {crypto::CipherId::TripleDES, 4099, 0.5, 0x942bab2bf1e8ac54ull},
+        {crypto::CipherId::Blowfish, 4099, 1.0, 0x9ea004903dd94c3full},
+        {crypto::CipherId::RC4, 4099, 1.0, 0x473adfd77b3e7b22ull},
+        {crypto::CipherId::TripleDES, 4099, 1e9, 0xb80a2d1b14a78499ull},
+        {crypto::CipherId::Blowfish, 4098, 1e9, 0x3b79c66960cc0069ull},
+        {crypto::CipherId::RC4, 4099, 1e9, 0x9b0a3fee752ade1dull},
+    };
+    for (const auto &c : cases) {
+        ServerRates r = desLikeRates();
+        r.cipher = c.cipher;
+        auto params = smallParams();
+        params.sessions = c.sessions;
+        params.meanRequestsPerSession = c.meanRequests;
+        params.loadFactors = {0.8};
+        SCOPED_TRACE(crypto::cipherInfo(c.cipher).name + " x "
+                     + std::to_string(c.sessions) + " sessions, mean "
+                     + std::to_string(c.meanRequests) + " requests");
+        const auto alone = ssl::runServerSim(r, params);
+        EXPECT_EQ(alone.chainDigest, c.digest);
+        if (c.meanRequests <= 1) {
+            EXPECT_EQ(alone.meanRequests, 1.0);
+        } else if (c.meanRequests > 64) {
+            EXPECT_EQ(alone.meanRequests, 64.0);
+        }
+        for (unsigned threads : {2u, 4u})
+            expectIdentical(ssl::runServerSims({r}, params, threads)[0],
+                            alone);
+    }
+}
+
 // Degenerate shapes are refused up front with the field named, instead
 // of crashing (no sessions or cores), hitting undefined behaviour
 // (an inverted byte clamp) or producing NaN curves.
