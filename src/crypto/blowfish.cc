@@ -1,6 +1,7 @@
 #include "crypto/blowfish.hh"
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/bitops.hh"
@@ -14,6 +15,9 @@ using util::store32be;
 
 namespace
 {
+
+/** Blocks per Blowfish::encryptBlocks step. */
+constexpr size_t bf_lanes = 4;
 
 /** 18 P words + 4*256 S words of pi, copied once per process. */
 const std::vector<uint32_t> &
@@ -40,18 +44,34 @@ Blowfish::f(uint32_t x) const
     return ((s[0][a] + s[1][b]) ^ s[2][c]) + s[3][d];
 }
 
+template <size_t L>
+void
+Blowfish::encryptLanes(uint32_t (&l)[L], uint32_t (&r)[L]) const
+{
+    for (int i = 0; i < 16; i += 2) {
+        for (size_t j = 0; j < L; j++) {
+            l[j] ^= p[i];
+            r[j] ^= f(l[j]);
+        }
+        for (size_t j = 0; j < L; j++) {
+            r[j] ^= p[i + 1];
+            l[j] ^= f(r[j]);
+        }
+    }
+    for (size_t j = 0; j < L; j++) {
+        l[j] ^= p[16];
+        r[j] ^= p[17];
+        std::swap(l[j], r[j]);
+    }
+}
+
 void
 Blowfish::encryptWords(uint32_t &l, uint32_t &r) const
 {
-    for (int i = 0; i < 16; i += 2) {
-        l ^= p[i];
-        r ^= f(l);
-        r ^= p[i + 1];
-        l ^= f(r);
-    }
-    l ^= p[16];
-    r ^= p[17];
-    std::swap(l, r);
+    uint32_t lane_l[1] = {l}, lane_r[1] = {r};
+    encryptLanes(lane_l, lane_r);
+    l = lane_l[0];
+    r = lane_r[0];
 }
 
 void
@@ -107,6 +127,27 @@ Blowfish::setKey(std::span<const uint8_t> key)
             s[box][i + 1] = r;
         }
     }
+}
+
+void
+Blowfish::encryptBlocks(const uint8_t *in, uint8_t *out,
+                        size_t blocks) const
+{
+    size_t i = 0;
+    for (; i + bf_lanes <= blocks; i += bf_lanes) {
+        uint32_t l[bf_lanes], r[bf_lanes];
+        for (size_t j = 0; j < bf_lanes; j++) {
+            l[j] = load32be(in + 8 * (i + j));
+            r[j] = load32be(in + 8 * (i + j) + 4);
+        }
+        encryptLanes(l, r);
+        for (size_t j = 0; j < bf_lanes; j++) {
+            store32be(out + 8 * (i + j), l[j]);
+            store32be(out + 8 * (i + j) + 4, r[j]);
+        }
+    }
+    for (; i < blocks; i++)
+        encryptBlock(in + 8 * i, out + 8 * i);
 }
 
 void

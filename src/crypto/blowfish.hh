@@ -30,6 +30,9 @@ class Blowfish : public BlockCipher
     void setKey(std::span<const uint8_t> key) override;
     void encryptBlock(const uint8_t *in, uint8_t *out) const override;
     void decryptBlock(const uint8_t *in, uint8_t *out) const override;
+    /** Four blocks at a time, their rounds interleaved. */
+    void encryptBlocks(const uint8_t *in, uint8_t *out,
+                       size_t blocks) const override;
     uint64_t setupOpEstimate() const override;
 
     /** Expanded P-array (18 words), for the CryptISA kernel. */
@@ -47,6 +50,9 @@ class Blowfish : public BlockCipher
 
   private:
     uint32_t f(uint32_t x) const;
+    /** encryptWords() on L blocks side by side, rounds interleaved. */
+    template <size_t L>
+    void encryptLanes(uint32_t (&l)[L], uint32_t (&r)[L]) const;
 
     std::array<uint32_t, 18> p{};
     std::array<std::array<uint32_t, 256>, 4> s{};

@@ -1,5 +1,6 @@
 #include "crypto/des.hh"
 
+#include <bit>
 #include <stdexcept>
 
 #include "util/bitops.hh"
@@ -8,7 +9,6 @@ namespace cryptarch::crypto
 {
 
 using util::load64be;
-using util::rotl32;
 using util::rotr32;
 using util::store64be;
 
@@ -124,41 +124,52 @@ sboxLookup(int box, uint32_t chunk)
     return sboxes[box][row * 16 + col];
 }
 
-/** Inverse of the initial permutation, derived rather than transcribed. */
-const std::array<int, 64> &
-fpTable()
-{
-    static const std::array<int, 64> table = [] {
-        std::array<int, 64> t{};
-        for (int i = 0; i < 64; i++)
-            t[ip_table[i] - 1] = i + 1;
-        return t;
-    }();
-    return table;
-}
+using SpBoxes = std::array<std::array<uint32_t, 64>, 8>;
 
-} // namespace
+/**
+ * A 64-bit bit permutation as eight byte-indexed tables: entry [j][v]
+ * is the permutation of byte value v at byte j (0 = most significant),
+ * so the permutation of a word is the XOR of its eight bytes' entries.
+ */
+using ByteTables = std::array<std::array<uint64_t, 256>, 8>;
+
+ByteTables
+byteTables(const int *table)
+{
+    // Where each input bit (LSB = 0) lands; a byte's entry is the XOR
+    // of its set bits' images, each built from one with a bit fewer.
+    uint64_t image[64] = {};
+    for (int i = 0; i < 64; i++)
+        image[64 - table[i]] |= 1ull << (63 - i);
+    ByteTables t{};
+    for (int j = 0; j < 8; j++)
+        for (unsigned v = 1; v < 256; v++)
+            t[j][v] = t[j][v & (v - 1)]
+                ^ image[56 - 8 * j + std::countr_zero(v)];
+    return t;
+}
 
 uint64_t
-Des::initialPermutation(uint64_t v)
+permuteBytes(const ByteTables &t, uint64_t v)
 {
-    return permuteBits(v, ip_table, 64, 64);
+    uint64_t r = 0;
+    for (int j = 0; j < 8; j++)
+        r ^= t[j][(v >> (56 - 8 * j)) & 0xFF];
+    return r;
 }
 
-uint64_t
-Des::finalPermutation(uint64_t v)
+/** Everything the rounds read, built once from the FIPS tables. */
+struct Tables
 {
-    return permuteBits(v, fpTable().data(), 64, 64);
-}
+    SpBoxes sp{};
+    ByteTables ip{};
+    ByteTables fp{};
 
-const std::array<std::array<uint32_t, 64>, 8> &
-Des::spBoxes()
-{
-    // SP box i maps a 6-bit E-chunk to the P-permuted contribution of
-    // S-box i: the 4-bit S output placed in its nibble position and run
-    // through P. Built once from the FIPS tables.
-    static const auto tables = [] {
-        std::array<std::array<uint32_t, 64>, 8> sp{};
+    Tables()
+    {
+        // SP box i maps a 6-bit E-chunk to the P-permuted contribution
+        // of S-box i: the 4-bit S output placed in its nibble position
+        // and run through P.
         for (int box = 0; box < 8; box++) {
             for (uint32_t v = 0; v < 64; v++) {
                 uint32_t nibble = sboxLookup(box, v);
@@ -168,26 +179,134 @@ Des::spBoxes()
                     permuteBits(placed, p_table, 32, 32));
             }
         }
-        return sp;
-    }();
-    return tables;
+        // FP is IP's inverse, derived rather than transcribed.
+        int fp_table[64];
+        for (int i = 0; i < 64; i++)
+            fp_table[ip_table[i] - 1] = i + 1;
+        ip = byteTables(ip_table);
+        fp = byteTables(fp_table);
+    }
+};
+
+const Tables &
+tables()
+{
+    static const Tables t;
+    return t;
+}
+
+/** The f function over the packed round key (see Des::RoundKey). */
+inline uint32_t
+f(const SpBoxes &sp, uint32_t r, Des::RoundKey k)
+{
+    const uint32_t a = rotr32(r, 3) ^ k.even;
+    const uint32_t b = rotr32(r, 7) ^ k.odd;
+    return sp[0][(a >> 24) & 0x3F] ^ sp[2][(a >> 16) & 0x3F]
+        ^ sp[4][(a >> 8) & 0x3F] ^ sp[6][a & 0x3F]
+        ^ sp[7][(b >> 24) & 0x3F] ^ sp[1][(b >> 16) & 0x3F]
+        ^ sp[3][(b >> 8) & 0x3F] ^ sp[5][b & 0x3F];
+}
+
+/**
+ * Sixteen rounds on L independent blocks at once, two rounds per
+ * step so the halves never swap: (l, r) go in as (L0, R0) and come
+ * out as (L16, R16), i.e. the standard's pre-output block is r:l.
+ * Decryption walks the keys backwards.
+ */
+template <bool Decrypt, size_t L>
+inline void
+sixteenRounds(const SpBoxes &sp, const std::array<Des::RoundKey, 16> &k,
+              uint32_t (&l)[L], uint32_t (&r)[L])
+{
+    for (int i = 0; i < 16; i += 2) {
+        const Des::RoundKey k0 = k[Decrypt ? 15 - i : i];
+        const Des::RoundKey k1 = k[Decrypt ? 14 - i : i + 1];
+        for (size_t j = 0; j < L; j++)
+            l[j] ^= f(sp, r[j], k0);
+        for (size_t j = 0; j < L; j++)
+            r[j] ^= f(sp, l[j], k1);
+    }
+}
+
+/** Single DES on one block: IP, sixteen rounds, FP. */
+template <bool Decrypt>
+uint64_t
+single(const std::array<Des::RoundKey, 16> &k, uint64_t block)
+{
+    const Tables &t = tables();
+    const uint64_t v = permuteBytes(t.ip, block);
+    uint32_t l[1] = {static_cast<uint32_t>(v >> 32)};
+    uint32_t r[1] = {static_cast<uint32_t>(v)};
+    sixteenRounds<Decrypt>(t.sp, k, l, r);
+    return permuteBytes(t.fp, (static_cast<uint64_t>(r[0]) << 32) | l[0]);
+}
+
+/**
+ * 3DES on L blocks side by side: one IP, the three cores' rounds (each
+ * core's output halves are the next core's input halves swapped, so the
+ * arrays trade places), one FP. The lanes are independent chains, so
+ * their SP-box reads overlap.
+ */
+template <bool Decrypt, size_t L>
+void
+ede(const std::array<Des, 3> &des, const uint8_t *in, uint8_t *out)
+{
+    const Tables &t = tables();
+    uint32_t l[L], r[L];
+    for (size_t j = 0; j < L; j++) {
+        const uint64_t v = permuteBytes(t.ip, load64be(in + 8 * j));
+        l[j] = static_cast<uint32_t>(v >> 32);
+        r[j] = static_cast<uint32_t>(v);
+    }
+    // E(K1) D(K2) E(K3); decryption is D(K3) E(K2) D(K1).
+    sixteenRounds<Decrypt>(t.sp, des[Decrypt ? 2 : 0].roundKeys(), l, r);
+    sixteenRounds<!Decrypt>(t.sp, des[1].roundKeys(), r, l);
+    sixteenRounds<Decrypt>(t.sp, des[Decrypt ? 0 : 2].roundKeys(), l, r);
+    for (size_t j = 0; j < L; j++)
+        store64be(out + 8 * j,
+                  permuteBytes(t.fp, (static_cast<uint64_t>(r[j]) << 32)
+                                         | l[j]));
+}
+
+/** Blocks per TripleDes::encryptBlocks step. */
+constexpr size_t des_lanes = 4;
+
+} // namespace
+
+uint64_t
+Des::initialPermutation(uint64_t v)
+{
+    return permuteBytes(tables().ip, v);
+}
+
+uint64_t
+Des::finalPermutation(uint64_t v)
+{
+    return permuteBytes(tables().fp, v);
+}
+
+const std::array<std::array<uint32_t, 64>, 8> &
+Des::spBoxes()
+{
+    return tables().sp;
+}
+
+Des::RoundKey
+Des::packSubkey(uint64_t subkey)
+{
+    auto chunk = [&](int i) {
+        return static_cast<uint32_t>((subkey >> (42 - 6 * i)) & 0x3F);
+    };
+    return {(chunk(0) << 24) | (chunk(2) << 16) | (chunk(4) << 8)
+                | chunk(6),
+            (chunk(7) << 24) | (chunk(1) << 16) | (chunk(3) << 8)
+                | chunk(5)};
 }
 
 uint32_t
-Des::feistel(uint32_t half, uint64_t subkey)
+Des::feistel(uint32_t half, RoundKey key)
 {
-    const auto &sp = spBoxes();
-    // E expansion: chunk i is spec bits 4i..4i+5 of the half, taken
-    // cyclically (bit 0 means bit 32). Rotating right by one aligns
-    // chunk boundaries so each chunk is a 6-bit field of the rotation.
-    uint32_t q = rotr32(half, 1);
-    uint32_t out = 0;
-    for (int i = 0; i < 8; i++) {
-        uint32_t chunk = rotr32(q, (26 - 4 * i) & 31) & 0x3F;
-        uint32_t k6 = (subkey >> (42 - 6 * i)) & 0x3F;
-        out ^= sp[i][chunk ^ k6];
-    }
-    return out;
+    return f(tables().sp, half, key);
 }
 
 void
@@ -202,47 +321,20 @@ Des::setKey(std::span<const uint8_t, 8> key)
         c = ((c << s) | (c >> (28 - s))) & 0x0FFFFFFF;
         d = ((d << s) | (d >> (28 - s))) & 0x0FFFFFFF;
         uint64_t merged = (static_cast<uint64_t>(c) << 28) | d;
-        keys[round] = permuteBits(merged, pc2_table, 48, 56);
+        keys[round] = packSubkey(permuteBits(merged, pc2_table, 48, 56));
     }
-}
-
-uint64_t
-Des::encryptRounds(uint64_t permuted) const
-{
-    uint32_t l = static_cast<uint32_t>(permuted >> 32);
-    uint32_t r = static_cast<uint32_t>(permuted);
-    for (int round = 0; round < 16; round++) {
-        uint32_t next_r = l ^ feistel(r, keys[round]);
-        l = r;
-        r = next_r;
-    }
-    // Final swap: the last round's halves are exchanged before FP.
-    return (static_cast<uint64_t>(r) << 32) | l;
-}
-
-uint64_t
-Des::decryptRounds(uint64_t permuted) const
-{
-    uint32_t l = static_cast<uint32_t>(permuted >> 32);
-    uint32_t r = static_cast<uint32_t>(permuted);
-    for (int round = 15; round >= 0; round--) {
-        uint32_t next_r = l ^ feistel(r, keys[round]);
-        l = r;
-        r = next_r;
-    }
-    return (static_cast<uint64_t>(r) << 32) | l;
 }
 
 uint64_t
 Des::encrypt(uint64_t block) const
 {
-    return finalPermutation(encryptRounds(initialPermutation(block)));
+    return single<false>(keys, block);
 }
 
 uint64_t
 Des::decrypt(uint64_t block) const
 {
-    return finalPermutation(decryptRounds(initialPermutation(block)));
+    return single<true>(keys, block);
 }
 
 // ---------------------------------------------------------------------
@@ -267,22 +359,24 @@ TripleDes::setKey(std::span<const uint8_t> key)
 void
 TripleDes::encryptBlock(const uint8_t *in, uint8_t *out) const
 {
-    // E·D·E with one IP and one FP: the inner FP·IP pairs cancel.
-    uint64_t v = Des::initialPermutation(load64be(in));
-    v = des[0].encryptRounds(v);
-    v = des[1].decryptRounds(v);
-    v = des[2].encryptRounds(v);
-    store64be(out, Des::finalPermutation(v));
+    ede<false, 1>(des, in, out);
 }
 
 void
 TripleDes::decryptBlock(const uint8_t *in, uint8_t *out) const
 {
-    uint64_t v = Des::initialPermutation(load64be(in));
-    v = des[2].decryptRounds(v);
-    v = des[1].encryptRounds(v);
-    v = des[0].decryptRounds(v);
-    store64be(out, Des::finalPermutation(v));
+    ede<true, 1>(des, in, out);
+}
+
+void
+TripleDes::encryptBlocks(const uint8_t *in, uint8_t *out,
+                         size_t blocks) const
+{
+    size_t i = 0;
+    for (; i + des_lanes <= blocks; i += des_lanes)
+        ede<false, des_lanes>(des, in + 8 * i, out + 8 * i);
+    for (; i < blocks; i++)
+        ede<false, 1>(des, in + 8 * i, out + 8 * i);
 }
 
 uint64_t

@@ -121,18 +121,14 @@ grpControls(const std::array<unsigned, 64> &perm)
  * Per-round key words in the kernel's E-chunk arrangement.
  * kq: chunks 0,2,4,6 at bit offsets 26,18,10,2 (fields of Q).
  * kt: chunks 1,3,5,7 at bit offsets 24,16,8,0 (fields of T).
+ * The library's packed key holds the same chunks on the fields of
+ * ROR(R,3) and ROR(R,7): kq is its even word shifted left by two, kt
+ * its odd word rotated left by eight.
  */
 std::pair<uint32_t, uint32_t>
-arrangeKey(uint64_t subkey)
+arrangeKey(crypto::Des::RoundKey key)
 {
-    auto chunk = [&](int i) {
-        return static_cast<uint32_t>((subkey >> (42 - 6 * i)) & 0x3F);
-    };
-    uint32_t kq = (chunk(0) << 26) | (chunk(2) << 18) | (chunk(4) << 10)
-        | (chunk(6) << 2);
-    uint32_t kt = (chunk(1) << 24) | (chunk(3) << 16) | (chunk(5) << 8)
-        | chunk(7);
-    return {kq, kt};
+    return {key.even << 2, util::rotl32(key.odd, 8)};
 }
 
 } // namespace
@@ -170,10 +166,9 @@ buildTripleDesKernel(KernelVariant v, std::span<const uint8_t> key,
     for (int stage = 0; stage < 3; stage++) {
         int core_idx = dec ? 2 - stage : stage;
         bool reversed = dec ? (stage != 1) : (stage == 1);
-        const auto &ks = ref.core(core_idx).subkeys();
+        const auto &ks = ref.core(core_idx).roundKeys();
         for (int r = 0; r < 16; r++) {
-            uint64_t sk = reversed ? ks[15 - r] : ks[r];
-            auto [kq, kt] = arrangeKey(sk);
+            auto [kq, kt] = arrangeKey(reversed ? ks[15 - r] : ks[r]);
             keywords.push_back(kq);
             keywords.push_back(kt);
         }

@@ -5,11 +5,11 @@
 #include <cmath>
 #include <exception>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "util/bitops.hh"
 #include "util/xorshift.hh"
 
 namespace cryptarch::ssl
@@ -26,6 +26,14 @@ using util::Xorshift64;
  * parallel chain pass.
  */
 constexpr uint64_t chain_chunk = 4096;
+
+/**
+ * Sessions a block cipher's chain pass runs side by side: each step
+ * encrypts one request block of every lane with one encryptBlocks()
+ * call, so a cipher that interleaves blocks (3DES) overlaps four
+ * independent chains.
+ */
+constexpr unsigned chain_lanes = 4;
 
 uint64_t
 splitmix64(uint64_t x)
@@ -66,57 +74,6 @@ requestCount(Xorshift64 &rng, double mean)
     return static_cast<uint32_t>(std::clamp(k, 1.0, 64.0));
 }
 
-/**
- * Per-session CBC chain carried across requests. Block ciphers advance
- * a real chain block through the session's bulk cipher (one shared key
- * schedule per cipher population — the chain models the *state*, key
- * agility is billed through ServerRates::keySetupCycles); RC4 keeps a
- * 64-bit keystream-style mix. Either way the final fold feeds the
- * population digest.
- */
-class ChainState
-{
-  public:
-    explicit ChainState(const crypto::BlockCipher *cipher,
-                        unsigned block_bytes, uint64_t iv)
-        : cipher_(cipher), blockBytes_(block_bytes)
-    {
-        for (unsigned i = 0; i < blockBytes_ && i < sizeof(block_); i++)
-            block_[i] = static_cast<uint8_t>(iv >> (8 * (i & 7)));
-        mix_ = iv;
-    }
-
-    void
-    absorbRequest(uint64_t request_bytes)
-    {
-        if (cipher_) {
-            for (unsigned i = 0; i < 8; i++)
-                block_[i] ^= static_cast<uint8_t>(request_bytes
-                                                  >> (8 * i));
-            cipher_->encryptBlock(block_, block_);
-        } else {
-            mix_ = splitmix64(mix_ ^ request_bytes);
-        }
-    }
-
-    uint64_t
-    fold() const
-    {
-        if (!cipher_)
-            return mix_;
-        uint64_t f = 0;
-        for (unsigned i = 0; i < 8; i++)
-            f |= static_cast<uint64_t>(block_[i]) << (8 * i);
-        return f;
-    }
-
-  private:
-    const crypto::BlockCipher *cipher_;
-    unsigned blockBytes_;
-    uint8_t block_[32] = {};
-    uint64_t mix_ = 0;
-};
-
 /** One session's draws, in stream order. */
 struct SessionDraw
 {
@@ -141,6 +98,17 @@ drawSession(Xorshift64 &rng, const ServerSimParams &params)
     s.requests = requestCount(rng, params.meanRequestsPerSession);
     s.iv = rng.next();
     return s;
+}
+
+/**
+ * Stream draws drawSession() makes before the IV: the resumed flag,
+ * two Box-Muller uniforms, and the request count unless
+ * requestCount() returns 1 without drawing.
+ */
+unsigned
+drawsBeforeIv(const ServerSimParams &params)
+{
+    return params.meanRequestsPerSession <= 1.0 ? 3 : 4;
 }
 
 /** One session's service cycles, split the Figure 2 way. */
@@ -215,26 +183,117 @@ drawPopulation(Population &pop, const ServerSimParams &params)
     pop.chunkDigest.assign(pop.chunkStart.size(), 0);
 }
 
-/** Chain pass over chunk @p c: redraw its sessions, run their chains. */
+/** Bytes of request @p r of a session split over @p requests. */
+uint64_t
+requestBytes(uint64_t bytes, uint32_t requests, uint32_t r)
+{
+    return bytes / requests + (r < bytes % requests ? 1 : 0);
+}
+
+/** A session's final chain state folded into the digest. */
+uint64_t
+digestTerm(uint64_t chain, uint64_t session)
+{
+    return splitmix64(chain ^ (session * 0x9E3779B97F4A7C15ull));
+}
+
+/**
+ * Chain pass over chunk @p c. Each session carries CBC chaining state
+ * across its requests: every boundary advances the running chain
+ * block, with no fresh IV or key schedule mid-session. Block ciphers
+ * chain a real block through the population's cipher (one shared key
+ * schedule: the chain models the state, key agility is billed through
+ * ServerRates::keySetupCycles); RC4 keeps a 64-bit keystream-style
+ * mix. Only the IVs are redrawn, by stepping the stream over the draws
+ * the population pass already recorded.
+ */
 void
 chainChunk(Population &pop, size_t c, const ServerSimParams &params)
 {
-    const unsigned block_bytes = crypto::cipherInfo(pop.cipher).blockBytes;
     Xorshift64 rng = pop.chunkStart[c];
-    const uint64_t end = std::min(params.sessions, (c + 1) * chain_chunk);
+    const unsigned skip = drawsBeforeIv(params);
+    auto nextIv = [&] {
+        for (unsigned d = 0; d < skip; d++)
+            rng.next();
+        return rng.next();
+    };
+    const uint64_t begin = c * chain_chunk;
+    const uint64_t end = std::min(params.sessions, begin + chain_chunk);
     uint64_t digest = 0;
-    for (uint64_t i = c * chain_chunk; i < end; i++) {
-        const SessionDraw s = drawSession(rng, params);
-        // CBC chaining state carried across the session's requests:
-        // each boundary advances the running chain block, no fresh IV
-        // or key schedule mid-session.
-        ChainState chain(pop.chainCipher.get(), block_bytes, s.iv);
-        uint64_t per_req = s.bytes / s.requests;
-        uint64_t extra = s.bytes % s.requests;
-        for (uint32_t r = 0; r < s.requests; r++)
-            chain.absorbRequest(per_req + (r < extra ? 1 : 0));
-        digest ^= splitmix64(chain.fold()
-                             ^ (i * 0x9E3779B97F4A7C15ull));
+
+    if (!pop.chainCipher) {
+        for (uint64_t i = begin; i < end; i++) {
+            uint64_t mix = nextIv();
+            const uint32_t requests = pop.shape[i] >> 1;
+            for (uint32_t r = 0; r < requests; r++)
+                mix = splitmix64(mix
+                                 ^ requestBytes(pop.bytes[i], requests, r));
+            digest ^= digestTerm(mix, i);
+        }
+        pop.chunkDigest[c] = digest;
+        return;
+    }
+
+    // Block ciphers: chain_lanes sessions at a time, each lane's block
+    // stored end to end for encryptBlocks(). A lane whose session ends
+    // takes the next session, in session order, so the IVs come off
+    // the stream in the order the population pass drew them. Idle
+    // lanes at the chunk's tail are encrypted and ignored.
+    const unsigned bb = crypto::cipherInfo(pop.cipher).blockBytes;
+    std::vector<uint8_t> blocks(chain_lanes * bb);
+    // A block's first eight bytes, little-endian, absorb the request
+    // lengths and give the session's fold.
+    auto head = [&](unsigned j) {
+        const uint8_t *p = &blocks[j * bb];
+        return util::load32le(p)
+            | static_cast<uint64_t>(util::load32le(p + 4)) << 32;
+    };
+    auto setHead = [&](unsigned j, uint64_t v) {
+        util::store32le(&blocks[j * bb], static_cast<uint32_t>(v));
+        util::store32le(&blocks[j * bb + 4], static_cast<uint32_t>(v >> 32));
+    };
+    struct Lane
+    {
+        uint64_t session = 0;
+        uint32_t requests = 0; ///< 0: idle
+        uint32_t done = 0;
+    };
+    std::array<Lane, chain_lanes> lanes;
+    uint64_t next = begin;
+    unsigned live = 0;
+    auto refill = [&](unsigned j) {
+        Lane &lane = lanes[j];
+        lane = {};
+        if (next == end)
+            return;
+        live++;
+        lane.session = next++;
+        lane.requests = pop.shape[lane.session] >> 1;
+        const uint64_t iv = nextIv();
+        for (unsigned b = 0; b < bb; b++)
+            blocks[j * bb + b] = static_cast<uint8_t>(iv >> (8 * (b & 7)));
+    };
+    for (unsigned j = 0; j < chain_lanes; j++)
+        refill(j);
+    while (live) {
+        for (unsigned j = 0; j < chain_lanes; j++) {
+            Lane &lane = lanes[j];
+            if (!lane.requests)
+                continue;
+            setHead(j, head(j)
+                           ^ requestBytes(pop.bytes[lane.session],
+                                          lane.requests, lane.done++));
+        }
+        pop.chainCipher->encryptBlocks(blocks.data(), blocks.data(),
+                                       chain_lanes);
+        for (unsigned j = 0; j < chain_lanes; j++) {
+            Lane &lane = lanes[j];
+            if (!lane.requests || lane.done < lane.requests)
+                continue;
+            digest ^= digestTerm(head(j), lane.session);
+            live--;
+            refill(j);
+        }
     }
     pop.chunkDigest[c] = digest;
 }
@@ -291,20 +350,17 @@ queuePoint(const Population &pop, const ServerRates &rates,
     double lambda = load * params.servers / mean_service;
     Xorshift64 arng(params.seed + 0x9E3779B97F4A7C15ull * (li + 1));
 
-    std::priority_queue<double, std::vector<double>, std::greater<double>>
-        free_at;
-    for (unsigned s = 0; s < params.servers; s++)
-        free_at.push(0.0);
-
+    // When each core next falls idle. FCFS hands every arrival to the
+    // earliest-free core; only the time matters, not which core.
+    std::vector<double> free_at(params.servers, 0.0);
     std::vector<double> latency(n);
     double t = 0, makespan = 0;
     for (uint64_t i = 0; i < n; i++) {
         t += expSample(arng, 1.0 / lambda);
-        double f = free_at.top();
-        free_at.pop();
-        double start = std::max(t, f);
+        auto core = std::min_element(free_at.begin(), free_at.end());
+        double start = std::max(t, *core);
         double done = start + pop.serviceOf(i, rates, params).total();
-        free_at.push(done);
+        *core = done;
         latency[i] = done - t;
         makespan = std::max(makespan, done);
     }
@@ -318,15 +374,10 @@ queuePoint(const Population &pop, const ServerRates &rates,
     for (double l : latency)
         mean += l;
     pt.meanCycles = mean / static_cast<double>(n);
-    auto pct = [&](double q) {
-        size_t k = static_cast<size_t>(q * static_cast<double>(n - 1));
-        std::nth_element(latency.begin(), latency.begin() + k,
-                         latency.end());
-        return latency[k];
-    };
-    pt.p50Cycles = pct(0.50);
-    pt.p95Cycles = pct(0.95);
-    pt.p99Cycles = pct(0.99);
+    const auto pcts = latencyPercentiles(latency);
+    pt.p50Cycles = pcts[0];
+    pt.p95Cycles = pcts[1];
+    pt.p99Cycles = pcts[2];
     return pt;
 }
 
@@ -399,6 +450,27 @@ validate(const ServerSimParams &params)
 }
 
 } // namespace
+
+std::array<double, 3>
+latencyPercentiles(std::vector<double> &latency)
+{
+    if (latency.empty())
+        throw std::invalid_argument("latencyPercentiles: no samples");
+    const double qs[3] = {0.50, 0.95, 0.99};
+    std::array<double, 3> out{};
+    // After nth_element at k, [k, end) holds exactly the ranks k..n-1,
+    // so each higher quantile is selected inside the previous tail.
+    auto from = latency.begin();
+    for (size_t i = 0; i < 3; i++) {
+        auto k = latency.begin()
+            + static_cast<std::ptrdiff_t>(
+                qs[i] * static_cast<double>(latency.size() - 1));
+        std::nth_element(from, k, latency.end());
+        out[i] = *k;
+        from = k;
+    }
+    return out;
+}
 
 ServerSimResult
 runServerSim(const ServerRates &rates, const ServerSimParams &params)

@@ -50,6 +50,7 @@
 #ifndef CRYPTARCH_SSL_SERVER_HH
 #define CRYPTARCH_SSL_SERVER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -181,6 +182,15 @@ ServerSimResult runServerSim(const ServerRates &rates,
 std::vector<ServerSimResult>
 runServerSims(const std::vector<ServerRates> &rates,
               const ServerSimParams &params, unsigned threads = 0);
+
+/**
+ * The {p50, p95, p99} of @p latency: for quantile q, element
+ * floor(q * (n - 1)) of the values in ascending order. Reorders
+ * @p latency (three nested selections, no full sort).
+ *
+ * @throws std::invalid_argument when @p latency is empty.
+ */
+std::array<double, 3> latencyPercentiles(std::vector<double> &latency);
 
 } // namespace cryptarch::ssl
 

@@ -130,6 +130,20 @@ TEST(Des, MatchesFips46Reference)
     }
 }
 
+// The packed round against the per-chunk f function of the standard,
+// on random halves and random 48-bit subkeys.
+TEST(Des, RoundMatchesFips46Reference)
+{
+    Xorshift64 rng(10);
+    for (int i = 0; i < 20000; i++) {
+        uint32_t half = rng.next32();
+        uint64_t subkey = rng.next() & 0xFFFFFFFFFFFFull;
+        ASSERT_EQ(Des::feistel(half, Des::packSubkey(subkey)),
+                  des_ref::feistel(half, subkey))
+            << "half " << half << " subkey " << subkey;
+    }
+}
+
 // The SP boxes are also the CryptISA kernel's tables: pin all 512
 // words (FNV-1a over them) so a change to their layout cannot slip by.
 TEST(Des, SpBoxesArePinned)
@@ -154,7 +168,8 @@ TEST(Des, FeistelKeyChunkSensitivity)
         int diffs = 0;
         for (int i = 0; i < 50; i++) {
             uint32_t half = rng.next32();
-            if (Des::feistel(half, k) != Des::feistel(half, k2))
+            if (Des::feistel(half, Des::packSubkey(k))
+                != Des::feistel(half, Des::packSubkey(k2)))
                 diffs++;
         }
         // Distinct S-box inputs collide on ~5% of values (each nibble

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "ssl/server.hh"
+#include "util/xorshift.hh"
 
 namespace
 {
@@ -254,6 +256,34 @@ TEST(ServerSim, LaneTailsKeepSequentialDigest)
             expectIdentical(ssl::runServerSims({r}, params, threads)[0],
                             alone);
     }
+}
+
+// The queue pass selects p50, then p95 inside p50's upper partition,
+// then p99 inside p95's: each must be the order statistic of a fully
+// sorted copy, also for tiny populations and with ties.
+TEST(ServerSim, LatencyPercentilesMatchSortedOrder)
+{
+    util::Xorshift64 rng(12);
+    for (size_t n : {1u, 2u, 3u, 20u, 4097u}) {
+        for (bool ties : {false, true}) {
+            std::vector<double> latency(n);
+            for (auto &l : latency)
+                l = ties ? static_cast<double>(rng.nextBelow(5))
+                         : rng.nextDouble() * 1e6;
+            auto sorted = latency;
+            std::sort(sorted.begin(), sorted.end());
+            const auto got = ssl::latencyPercentiles(latency);
+            const double qs[3] = {0.50, 0.95, 0.99};
+            for (size_t i = 0; i < 3; i++) {
+                const auto k = static_cast<size_t>(
+                    qs[i] * static_cast<double>(n - 1));
+                EXPECT_EQ(got[i], sorted[k])
+                    << "n " << n << " q " << qs[i] << " ties " << ties;
+            }
+        }
+    }
+    std::vector<double> none;
+    EXPECT_THROW(ssl::latencyPercentiles(none), std::invalid_argument);
 }
 
 // Degenerate shapes are refused up front with the field named, instead
